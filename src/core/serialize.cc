@@ -1,6 +1,7 @@
 #include "core/serialize.h"
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 
@@ -29,6 +30,21 @@ int parse_index_suffix(const std::string& s, std::size_t prefix_len,
     throw JsonError(std::string("malformed ") + what + " \"" + s + "\"");
   }
   return static_cast<int>(v);
+}
+
+std::string hex_u64(u64 v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return std::string(buf);
+}
+
+u64 u64_from_hex(const std::string& s) {
+  if (s.size() != 16 ||
+      s.find_first_not_of("0123456789abcdef") != std::string::npos) {
+    throw JsonError("malformed rng state word \"" + s + "\"");
+  }
+  return static_cast<u64>(std::strtoull(s.c_str(), nullptr, 16));
 }
 
 }  // namespace
@@ -258,6 +274,28 @@ workload::Measurement measurement_from_json(const JsonValue& v) {
     m.epochs.push_back(epoch_from_json(e));
   }
   return m;
+}
+
+void rng_state_to_json(const RngState& st, JsonWriter* json) {
+  json->begin_object();
+  json->begin_array("s");
+  for (const u64 w : st.s) json->value(hex_u64(w));
+  json->end_array();
+  json->field("has_spare", st.has_spare_normal);
+  json->field("spare", st.spare_normal);
+  json->end_object();
+}
+
+RngState rng_state_from_json(const JsonValue& v) {
+  RngState st;
+  const auto& words = v.at("s").items();
+  if (words.size() != 4) throw JsonError("rng state needs 4 words");
+  for (std::size_t i = 0; i < 4; ++i) {
+    st.s[i] = u64_from_hex(words[i].as_string());
+  }
+  st.has_spare_normal = v.at("has_spare").as_bool();
+  st.spare_normal = v.at("spare").as_double();
+  return st;
 }
 
 }  // namespace collie::core

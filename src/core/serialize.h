@@ -11,6 +11,7 @@
 
 #include <string>
 
+#include "common/rng.h"
 #include "core/json_reader.h"
 #include "core/mfs.h"
 #include "core/report.h"
@@ -50,10 +51,15 @@ Mfs mfs_from_json(const JsonValue& v);
 void counter_sample_to_json(const sim::CounterSample& s, JsonWriter* json);
 sim::CounterSample counter_sample_from_json(const JsonValue& v);
 
-// A full engine Measurement, every field, byte-identical round trip (the
-// trace backend's payload).  Doubles round-trip bit-exactly through
+// A full engine Measurement, every field, byte-identical round trip (a
+// journal probe record's payload).  Doubles round-trip bit-exactly through
 // JsonWriter's shortest-decimal rendering.
 void measurement_to_json(const workload::Measurement& m, JsonWriter* json);
 workload::Measurement measurement_from_json(const JsonValue& v);
+
+// Full generator state: {"s": [4 x 16 lowercase hex digits], "has_spare",
+// "spare"}.  A word that is not exactly 16 hex digits is a JsonError.
+void rng_state_to_json(const RngState& st, JsonWriter* json);
+RngState rng_state_from_json(const JsonValue& v);
 
 }  // namespace collie::core

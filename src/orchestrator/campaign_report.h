@@ -67,7 +67,7 @@ struct CampaignReport {
   std::vector<SubsystemCoverage> coverage; // subsystem order of the config
   PoolStats pool;
   // Execution substrate the campaign measured on ("sim", "mock").
-  // Substrate, not transport: a campaign replayed from a sim trace reports
+  // Substrate, not transport: a campaign replayed from a sim journal reports
   // "sim", so the record and replay legs' reports stay byte-identical.
   std::string backend = "sim";
   int workers = 0;

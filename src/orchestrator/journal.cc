@@ -239,7 +239,7 @@ void CampaignJournal::probe(const std::string& context, const Workload& w,
   json.key("measurement");
   core::measurement_to_json(m, &json);
   json.key("rng_after");
-  workload::rng_state_to_json(rng_after, &json);
+  core::rng_state_to_json(rng_after, &json);
   json.end_object();
 
   std::lock_guard<std::mutex> lock(mu_);
@@ -334,7 +334,10 @@ u64 CampaignJournal::bytes() const {
 
 // ---- Parsing --------------------------------------------------------------
 
-JournalResume parse_journal(const std::vector<std::string>& payloads) {
+namespace {
+
+JournalResume parse_records(const std::vector<std::string>& payloads,
+                            bool keep_completed_probes) {
   JournalResume r;
   for (const std::string& text : payloads) {
     const JsonValue doc = JsonValue::parse(text);
@@ -355,10 +358,10 @@ JournalResume parse_journal(const std::vector<std::string>& payloads) {
         r.schedule = schedule_from_json(doc.at("schedule").as_string());
       } else if (kind == "probe") {
         const std::string& ctx = doc.at("context").as_string();
-        workload::TraceProbe p;
+        JournalProbe p;
         p.workload = core::workload_from_json(doc.at("workload"));
         p.measurement = core::measurement_from_json(doc.at("measurement"));
-        p.rng_after = workload::rng_state_from_json(doc.at("rng_after"));
+        p.rng_after = core::rng_state_from_json(doc.at("rng_after"));
         r.partial[ctx].push_back(std::move(p));
         ++r.probes;
       } else if (kind == "driver_state") {
@@ -398,10 +401,21 @@ JournalResume parse_journal(const std::vector<std::string>& payloads) {
     if (r.completed.count(label) == 0) r.completion_order.push_back(label);
     r.completed[label] = std::move(rc);
     // Anything journaled mid-cell is superseded by the cell_done document.
-    r.partial.erase(label);
+    if (!keep_completed_probes) r.partial.erase(label);
     r.partial_inserts.erase(label);
   }
   return r;
+}
+
+}  // namespace
+
+JournalResume parse_journal(const std::vector<std::string>& payloads) {
+  return parse_records(payloads, /*keep_completed_probes=*/false);
+}
+
+JournalResume parse_journal_for_replay(
+    const std::vector<std::string>& payloads) {
+  return parse_records(payloads, /*keep_completed_probes=*/true);
 }
 
 CampaignCheckpoint journal_to_checkpoint(const JournalResume& resume) {
@@ -436,11 +450,14 @@ namespace {
 
 class SpliceBackend final : public workload::Backend {
  public:
+  // `inner` is null exactly when `journal` is (replay: no live tail).
   SpliceBackend(std::unique_ptr<workload::Backend> inner,
-                const std::vector<workload::TraceProbe>* prefix,
-                std::string context, CampaignJournal* journal,
-                std::atomic<i64>* replayed, std::atomic<i64>* live)
+                const std::string& substrate,
+                const std::vector<JournalProbe>* prefix, std::string context,
+                CampaignJournal* journal, std::atomic<i64>* replayed,
+                std::atomic<i64>* live)
       : inner_(std::move(inner)),
+        substrate_(substrate),
         prefix_(prefix),
         context_(std::move(context)),
         journal_(journal),
@@ -450,17 +467,17 @@ class SpliceBackend final : public workload::Backend {
   workload::BackendKind kind() const override {
     return workload::BackendKind::kTrace;
   }
-  const std::string& substrate() const override { return inner_->substrate(); }
+  const std::string& substrate() const override { return substrate_; }
 
   void measure(const Workload& w, Rng& rng, sim::EvalScratch& scratch,
                workload::Measurement& out) override {
     if (prefix_ != nullptr && cursor_ < prefix_->size()) {
-      const workload::TraceProbe& p = (*prefix_)[cursor_];
+      const JournalProbe& p = (*prefix_)[cursor_];
       if (!(p.workload == w)) {
         throw std::runtime_error(
             "journal context \"" + context_ + "\" probe " +
             std::to_string(cursor_) +
-            " was recorded for a different workload — resume diverged "
+            " was recorded for a different workload — replay diverged "
             "(journal recorded against different flags?)");
       }
       out = p.measurement;
@@ -469,14 +486,22 @@ class SpliceBackend final : public workload::Backend {
       replayed_->fetch_add(1, std::memory_order_relaxed);
       return;
     }
+    if (inner_ == nullptr) {
+      throw std::runtime_error(
+          "journal context \"" + context_ + "\" has no probe " +
+          std::to_string(cursor_) +
+          " — replay needs every probe journaled (journal cut short, or "
+          "recorded against different flags?)");
+    }
     inner_->measure(w, rng, scratch, out);
-    if (journal_ != nullptr) journal_->probe(context_, w, out, rng.state());
+    journal_->probe(context_, w, out, rng.state());
     live_->fetch_add(1, std::memory_order_relaxed);
   }
 
  private:
-  std::unique_ptr<workload::Backend> inner_;
-  const std::vector<workload::TraceProbe>* prefix_;  // null = no prefix
+  std::unique_ptr<workload::Backend> inner_;  // null = replay only
+  const std::string& substrate_;              // the factory's
+  const std::vector<JournalProbe>* prefix_;   // null = no prefix
   std::string context_;
   CampaignJournal* journal_;
   std::atomic<i64>* replayed_;
@@ -489,8 +514,12 @@ class SpliceBackend final : public workload::Backend {
 SpliceBackendFactory::SpliceBackendFactory(
     std::shared_ptr<workload::BackendFactory> inner,
     const JournalResume* resume, CampaignJournal* journal)
-    : inner_(std::move(inner)), journal_(journal) {
-  if (resume != nullptr) partial_ = resume->partial;
+    : inner_(std::move(inner)), resume_(resume), journal_(journal) {
+  if (resume_ == nullptr && journal_ == nullptr) {
+    throw std::invalid_argument(
+        "SpliceBackendFactory needs a journal to record into or one to "
+        "replay");
+  }
 }
 
 const std::string& SpliceBackendFactory::substrate() const {
@@ -501,14 +530,20 @@ const std::string& SpliceBackendFactory::substrate() const {
 std::unique_ptr<workload::Backend> SpliceBackendFactory::create(
     const sim::Subsystem& sys, const workload::EngineOptions& opts,
     const std::string& context) {
-  std::unique_ptr<workload::Backend> inner =
-      inner_ != nullptr ? inner_->create(sys, opts, context)
-                        : std::make_unique<workload::SimBackend>(sys, opts);
-  const auto it = partial_.find(context);
-  const std::vector<workload::TraceProbe>* prefix =
-      it != partial_.end() ? &it->second : nullptr;
-  return std::make_unique<SpliceBackend>(std::move(inner), prefix, context,
-                                         journal_, &replayed_, &live_);
+  std::unique_ptr<workload::Backend> inner;
+  if (journal_ != nullptr) {
+    inner = inner_ != nullptr
+                ? inner_->create(sys, opts, context)
+                : std::make_unique<workload::SimBackend>(sys, opts);
+  }
+  const std::vector<JournalProbe>* prefix = nullptr;
+  if (resume_ != nullptr) {
+    const auto it = resume_->partial.find(context);
+    if (it != resume_->partial.end()) prefix = &it->second;
+  }
+  return std::make_unique<SpliceBackend>(std::move(inner), substrate(), prefix,
+                                         context, journal_, &replayed_,
+                                         &live_);
 }
 
 // ---- JournalingStore ------------------------------------------------------

@@ -1,10 +1,12 @@
-// Durable campaign journal: crash-safety for long searches.
+// Durable campaign journal: crash-safety, resume and replay for long
+// searches.
 //
 // A campaign's value is the anomaly corpus it accumulates, and the paper's
 // deployment runs searches for days — so losing a run to a crash anywhere
-// before the final checkpoint write is unacceptable.  The journal is an
-// append-only file ("collie-journal-v1") the campaign streams into as it
-// runs:
+// before the final checkpoint write is unacceptable, and a finished run must
+// stay replayable for audit and triage.  The journal is an append-only file
+// ("collie-journal-v1") the campaign streams into as it runs, and the one
+// persisted record of what a campaign executed:
 //
 //   [18-byte magic "collie-journal-v1\n"]
 //   frame*  where frame = [u32 payload_len LE][u32 crc32(payload) LE][payload]
@@ -12,11 +14,10 @@
 // Payloads are strict-JSON documents in two vocabularies:
 //   * journal-native records, tagged by a "record" key — "begin" (config +
 //     realized schedule), "probe" (one executed probe: workload,
-//     measurement, post-probe RNG state — exactly a trace-backend
-//     TraceProbe), "driver_state" (serialized search-driver progress, for
-//     observability), "mfs_batch" (one streamed extraction with its scope),
-//     "event" (fleet lease grants / revokes / re-queues), "resume" (a
-//     session boundary marker);
+//     measurement, post-probe RNG state — a JournalProbe), "driver_state"
+//     (serialized search-driver progress, for observability), "mfs_batch"
+//     (one streamed extraction with its scope), "event" (fleet lease grants
+//     / revokes / re-queues), "resume" (a session boundary marker);
 //   * verbatim fleet wire messages, tagged by a "type" key — a completed
 //     cell is journaled as the exact PR 9 cell_done document (full
 //     CellResult + every insert + the cell's pool-stats delta), so the
@@ -30,11 +31,16 @@
 // because of the journal's one structural invariant: ANY frame prefix is a
 // resumable state.  Probes lost past the last valid frame are simply
 // re-executed live — the splice backend replays the journaled prefix of
-// each cell (restoring measurements and RNG state exactly as the trace
-// backend does), then switches to the real substrate mid-cell.  The resumed
-// campaign's report is byte-identical to the uninterrupted run's, with zero
-// probes re-spent inside journaled regions (pinned by tests at 1/2/4
-// workers).
+// each cell (recorded measurement out, recorded RNG state restored), then
+// switches to the real substrate mid-cell.  The resumed campaign's report is
+// byte-identical to the uninterrupted run's, with zero probes re-spent
+// inside journaled regions (pinned by tests at 1/2/4 workers).
+//
+// Replay is the same splice with no live tail: every cell, completed ones
+// included, re-runs its search over its journaled probes, with zero
+// simulator evaluations.  The replayed report is byte-identical to the
+// recording's at any worker count; a probe the journal lacks, or a workload
+// that differs from the journaled one, throws.
 #pragma once
 
 #include <atomic>
@@ -45,8 +51,9 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "orchestrator/campaign.h"
-#include "workload/backend_trace.h"
+#include "workload/backend.h"
 
 namespace collie::orchestrator {
 
@@ -162,6 +169,17 @@ class CampaignJournal {
 
 // ---- Parsed resume state --------------------------------------------------
 
+// One journaled probe of one cell, in execution order.  Replaying it means:
+// the engine asked for exactly `workload` (equality enforced), gets
+// `measurement` back, and its Rng is left at `rng_after` — the same
+// generator feeds measurement jitter and search decisions, so restoring the
+// state is what keeps the replayed search on the recorded trajectory.
+struct JournalProbe {
+  Workload workload;
+  workload::Measurement measurement;
+  RngState rng_after;
+};
+
 // A completed cell reconstructed from its journaled cell_done message.
 struct RestoredCell {
   CellResult result;
@@ -183,13 +201,16 @@ struct JournalResume {
   std::string backend;   // substrate
   u64 seed = 0;
   int workers = 0;
-  Schedule schedule;  // the realized schedule, for --replay-style re-dispatch
+  Schedule schedule;  // the realized schedule, re-dispatched as config.replay
   // Labels of completed cells in journal (completion) order — the order
   // their inserts must be folded back into the pool.
   std::vector<std::string> completion_order;
   std::map<std::string, RestoredCell> completed;
-  // Journaled probes of cells that did NOT complete: the splice prefix.
-  std::map<std::string, std::vector<workload::TraceProbe>> partial;
+  // Journaled probes per cell, in append order: the splice prefix.
+  // parse_journal keeps only cells that did NOT complete (completed cells
+  // restore verbatim, so their probes are never held);
+  // parse_journal_for_replay keeps every cell's.
+  std::map<std::string, std::vector<JournalProbe>> partial;
   // Streamed extractions of cells that did not complete (checkpoint
   // salvage only — resume re-inserts them by replaying the probes, so the
   // campaign never loads these).  May contain duplicates after a crash
@@ -211,6 +232,11 @@ struct JournalResume {
 // loudly, never resume wrong).
 JournalResume parse_journal(const std::vector<std::string>& payloads);
 
+// parse_journal for replay: completed cells keep their journaled probes in
+// `partial` too, since replay re-runs every cell instead of restoring it.
+JournalResume parse_journal_for_replay(
+    const std::vector<std::string>& payloads);
+
 // Salvage a checkpoint from a journal: completed cells' inserts folded per
 // scope in completion order, partial cells' streamed extractions appended
 // (knowledge, not completion), completed_cells = completion order.
@@ -218,22 +244,29 @@ CampaignCheckpoint journal_to_checkpoint(const JournalResume& resume);
 
 // ---- Mid-cell splice backend ----------------------------------------------
 
-// The resume substrate: each cell replays its journaled probe prefix
-// exactly as a TraceBackend would (recorded measurement out, recorded RNG
-// state restored, zero simulator evaluations, workload equality enforced),
-// then splices onto the live inner backend and journals every new probe.
-// Cells with no journaled prefix run live from probe 0 — a fresh journaling
-// campaign is the empty-prefix special case of resume.
+// The journal's execution substrate.  Each cell first replays its journaled
+// probe prefix (resume->partial): recorded measurement out, recorded RNG
+// state restored, workload equality enforced, zero simulator evaluations.
+// Past the prefix:
+//   * with a journal (record / resume): the cell splices onto the live inner
+//     backend and journals every new probe.  Cells with no prefix run live
+//     from probe 0 — a fresh journaling campaign is the empty-prefix special
+//     case of resume;
+//   * without one (replay): there is no live tail.  No inner backend is
+//     ever built, and the first probe past the prefix throws
+//     std::runtime_error naming the cell and the probe index.
+// A workload that differs from the journaled one at the cursor throws too.
 //
 // kind() reports kTrace so Campaign's determinism gate applies: threaded
-// execution under subsystem-scoped sharing is rejected, exactly as for
-// trace record/replay (journal resume needs schedule-independent cell
-// trajectories for its byte-identity guarantee).
+// execution under subsystem-scoped sharing is rejected, because record,
+// resume and replay all need schedule-independent cell trajectories for
+// their byte-identity guarantee.
 class SpliceBackendFactory final : public workload::BackendFactory {
  public:
   // `inner` = the real substrate factory (null = the built-in simulator).
-  // `resume` may be null (fresh journaling run).  `journal` must outlive
-  // the factory and every backend it creates.
+  // `resume` may be null (fresh journaling run); `journal` may be null
+  // (replay), but not both.  Both must outlive the factory and every
+  // backend it creates.
   SpliceBackendFactory(std::shared_ptr<workload::BackendFactory> inner,
                        const JournalResume* resume, CampaignJournal* journal);
 
@@ -252,7 +285,7 @@ class SpliceBackendFactory final : public workload::BackendFactory {
 
  private:
   std::shared_ptr<workload::BackendFactory> inner_;
-  std::map<std::string, std::vector<workload::TraceProbe>> partial_;
+  const JournalResume* resume_;
   CampaignJournal* journal_;
   std::atomic<i64> replayed_{0};
   std::atomic<i64> live_{0};

@@ -18,7 +18,7 @@
 //      iteration (§6), with a stability check and re-measurement.
 //
 // The performance pass is delegated to an execution Backend
-// (workload/backend.h): the simulator by default, recorded traces or
+// (workload/backend.h): the simulator by default, journaled probes or
 // scripted mocks when the engine options carry a factory.  The sim path is
 // devirtualized (direct call on the final SimBackend) so the seam costs the
 // hot path nothing.
@@ -95,8 +95,8 @@ struct EngineOptions {
   // Execution backend.  Null = the built-in simulator backend.  Not owned:
   // the factory must outlive every engine built from these options (the
   // campaign owns one factory for the whole run and builds one engine per
-  // cell).  `backend_context` names this engine's probe stream in recorded
-  // traces — the campaign passes the cell label.
+  // cell).  `backend_context` names this engine's probe stream in the
+  // campaign journal — the campaign passes the cell label.
   BackendFactory* backend_factory = nullptr;
   std::string backend_context;
   // Dispatch the simulator backend through a direct call on the final class

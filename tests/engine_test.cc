@@ -1,15 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "catalog/anomalies.h"
 #include "obs/telemetry.h"
 #include "orchestrator/campaign.h"
 #include "orchestrator/campaign_report.h"
+#include "orchestrator/journal.h"
 #include "workload/backend_mock.h"
 #include "workload/backend_sim.h"
-#include "workload/backend_trace.h"
 #include "workload/engine.h"
 
 namespace collie::workload {
@@ -118,7 +120,7 @@ TEST(Backend, SimBackendIsTheDefault) {
 
 // A small deterministic campaign template every backend test shares: one
 // subsystem-B cell, cell-scoped pool, deterministic execution — the shape
-// trace record/replay requires.
+// journal record/replay requires.
 orchestrator::CampaignConfig small_campaign() {
   orchestrator::CampaignConfig config;
   config.subsystems = {'B'};
@@ -130,7 +132,71 @@ orchestrator::CampaignConfig small_campaign() {
   return config;
 }
 
-TEST(Backend, RecordReplayCampaignReportsAreByteIdentical) {
+std::string fresh_path(const std::string& name) {
+  const std::string path = ::testing::TempDir() + "collie_engine_test_" + name;
+  std::remove(path.c_str());
+  return path;
+}
+
+// Run `config` journaling into a fresh file at `path` — the wiring the
+// campaign CLI does for --journal — and return its report.
+std::string record_journal(orchestrator::CampaignConfig config,
+                           const std::string& path) {
+  orchestrator::CampaignJournal journal(path, /*journal_every=*/64);
+  config.journal = &journal;
+  config.backend_factory = std::make_shared<orchestrator::SpliceBackendFactory>(
+      nullptr, nullptr, &journal);
+  return orchestrator::build_report(orchestrator::Campaign(config).run())
+      .to_json();
+}
+
+orchestrator::JournalResume replay_state(const std::string& path) {
+  const orchestrator::JournalRecovery rec =
+      orchestrator::recover_journal(path, /*repair=*/false);
+  EXPECT_TRUE(rec.error.empty()) << rec.error;
+  EXPECT_FALSE(rec.torn);
+  return orchestrator::parse_journal_for_replay(rec.payloads);
+}
+
+struct Replayed {
+  orchestrator::CampaignResult result;
+  std::string report;
+  i64 replayed = 0;
+  i64 live = 0;
+  u64 evals = 0;  // engine.eval_ns observations: simulator evaluations
+};
+
+// Replay a journal the way --replay does: its recorded schedule, every cell
+// served by the splice backend with no live tail.  Telemetry is on so the
+// zero-evaluation claim is observable.
+Replayed replay_journal(orchestrator::CampaignConfig config,
+                        const orchestrator::JournalResume& state) {
+  obs::Telemetry telemetry;
+  auto splice = std::make_shared<orchestrator::SpliceBackendFactory>(
+      nullptr, &state, nullptr);
+  config.replay = state.schedule;
+  config.backend_factory = splice;
+  config.telemetry = &telemetry;
+  Replayed out;
+  out.result = orchestrator::Campaign(config).run();
+  out.report = orchestrator::build_report(out.result).to_json();
+  out.replayed = splice->replayed();
+  out.live = splice->live();
+  const obs::Snapshot snap = telemetry.snapshot();
+  const auto it = snap.histograms.find("engine.eval_ns");
+  out.evals = it != snap.histograms.end() ? it->second.count : 0;
+  return out;
+}
+
+i64 experiments(const orchestrator::CampaignResult& result) {
+  i64 total = 0;
+  for (const orchestrator::CellResult& cr : result.cells) {
+    total += cr.result.experiments;
+  }
+  return total;
+}
+
+TEST(Backend, JournalReplayReportsAreByteIdentical) {
   // Leg 0: the plain simulator.
   const std::string sim_report =
       orchestrator::build_report(
@@ -138,114 +204,168 @@ TEST(Backend, RecordReplayCampaignReportsAreByteIdentical) {
           .to_json();
 
   // Leg 1: record.  Same trajectory as the plain simulator, same report.
-  auto recorder = std::make_shared<TraceRecorder>();
-  orchestrator::CampaignConfig record = small_campaign();
-  record.backend_factory = std::make_shared<RecordBackendFactory>(recorder);
-  const orchestrator::CampaignResult record_result =
-      orchestrator::Campaign(record).run();
-  const std::string record_report =
-      orchestrator::build_report(record_result).to_json();
-  EXPECT_EQ(record_report, sim_report);
-  EXPECT_EQ(record_result.backend, "sim");
+  const std::string path = fresh_path("replay.journal");
+  EXPECT_EQ(record_journal(small_campaign(), path), sim_report);
 
-  // Leg 2: replay through the serialized trace, telemetry on so the
-  // zero-evaluation claim is observable.  The report must still match byte
-  // for byte — substrate attribution, not transport.
-  auto trace = std::make_shared<const TraceFile>(
-      TraceFile::from_json(recorder->to_json()));
-  obs::Telemetry telemetry;
-  orchestrator::CampaignConfig replay = small_campaign();
-  replay.backend_factory = std::make_shared<ReplayBackendFactory>(trace);
-  replay.telemetry = &telemetry;
-  const orchestrator::CampaignResult replay_result =
-      orchestrator::Campaign(replay).run();
-  EXPECT_EQ(orchestrator::build_report(replay_result).to_json(), sim_report);
-
-  // Not a single simulator evaluation ran on the replay leg, and every
-  // probe went through the trace backend.
-  const obs::Snapshot snap = telemetry.snapshot();
-  ASSERT_TRUE(snap.histograms.count("engine.eval_ns"));
-  EXPECT_EQ(snap.histograms.at("engine.eval_ns").count, 0u);
-  i64 experiments = 0;
-  for (const orchestrator::CellResult& cr : replay_result.cells) {
-    experiments += cr.result.experiments;
-  }
-  EXPECT_GT(experiments, 0);
-  ASSERT_TRUE(snap.counters.count("engine.backend.trace"));
-  EXPECT_EQ(snap.counters.at("engine.backend.trace"), experiments);
+  // Leg 2: replay from the journal file.  The report must match byte for
+  // byte — substrate attribution, not transport — without a single
+  // simulator evaluation: every probe came from the journal.
+  const orchestrator::JournalResume state = replay_state(path);
+  const Replayed replay = replay_journal(small_campaign(), state);
+  EXPECT_EQ(replay.report, sim_report);
+  EXPECT_EQ(replay.result.backend, "sim");
+  EXPECT_EQ(replay.evals, 0u);
+  EXPECT_GT(experiments(replay.result), 0);
+  EXPECT_EQ(replay.replayed, experiments(replay.result));
+  EXPECT_EQ(replay.live, 0);
+  std::remove(path.c_str());
 }
 
-TEST(Backend, ReplayDivergenceFailsLoudly) {
-  // Record two probes through one engine.
-  auto recorder = std::make_shared<TraceRecorder>();
-  RecordBackendFactory factory(recorder);
-  EngineOptions opts;
-  opts.run_functional_pass = false;
-  opts.backend_factory = &factory;
-  opts.backend_context = "cell";
+TEST(Backend, JournalRecordedOnFourThreadsReplaysOnOne) {
+  // Four cells recorded by four worker threads replay deterministically on
+  // the calling thread: logical workers come from the journaled schedule,
+  // probes from the journal.
+  orchestrator::CampaignConfig record = small_campaign();
+  record.subsystems = {'B', 'F'};
+  record.seeds_per_cell = 2;
+  record.workers = 4;
+  record.execution = orchestrator::ExecutionMode::kThreads;
+  const std::string path = fresh_path("threads.journal");
+  const std::string recorded = record_journal(record, path);
+
+  orchestrator::CampaignConfig replay_config = record;
+  replay_config.workers = 1;
+  replay_config.execution = orchestrator::ExecutionMode::kDeterministic;
+  const Replayed replay = replay_journal(replay_config, replay_state(path));
+  EXPECT_EQ(replay.report, recorded);
+  EXPECT_EQ(replay.result.workers, 4);
+  EXPECT_EQ(replay.evals, 0u);
+  EXPECT_EQ(replay.live, 0);
+  std::remove(path.c_str());
+}
+
+TEST(Backend, JournalMissingACellsProbesFailsLoudly) {
+  orchestrator::CampaignConfig config = small_campaign();
+  config.seeds_per_cell = 2;  // B/Diag#0 and B/Diag#1
+  const std::string path = fresh_path("missing.journal");
+  record_journal(config, path);
+
+  // Drop every probe record of B/Diag#1, keep everything else.
+  const orchestrator::JournalRecovery rec =
+      orchestrator::recover_journal(path, /*repair=*/false);
+  std::vector<std::string> kept;
+  for (const std::string& p : rec.payloads) {
+    if (p.find(R"("record":"probe","context":"B/Diag#1")") ==
+        std::string::npos) {
+      kept.push_back(p);
+    }
+  }
+  ASSERT_LT(kept.size(), rec.payloads.size());
+  const orchestrator::JournalResume state =
+      orchestrator::parse_journal_for_replay(kept);
+
+  // The starved cell fails at its first probe, naming the cell and the
+  // probe index; still no simulator evaluation anywhere.  The intact cell
+  // replays in full.
+  const Replayed replay = replay_journal(config, state);
+  ASSERT_EQ(replay.result.cells.size(), 2u);
+  EXPECT_FALSE(replay.result.cells[0].failed());
+  const std::string& error = replay.result.cells[1].error;
+  EXPECT_NE(error.find("\"B/Diag#1\" has no probe 0"), std::string::npos)
+      << error;
+  EXPECT_EQ(replay.evals, 0u);
+  EXPECT_EQ(replay.live, 0);
+  std::remove(path.c_str());
+}
+
+// Two probes journaled through one engine (context "cell"), parsed back for
+// replay.
+orchestrator::JournalResume two_probe_journal(const std::string& path,
+                                              RngState* rng_after) {
   const sim::Subsystem& sys = sim::subsystem('F');
   {
+    orchestrator::CampaignJournal journal(path, /*journal_every=*/1);
+    orchestrator::SpliceBackendFactory factory(nullptr, nullptr, &journal);
+    EngineOptions opts;
+    opts.run_functional_pass = false;
+    opts.backend_factory = &factory;
+    opts.backend_context = "cell";
     Engine engine(sys, opts);
     Rng rng(3);
     engine.run(simple_write(), rng);
     engine.run(catalog::anomaly(1).concrete, rng);
+    *rng_after = rng.state();
   }
-  auto trace =
-      std::make_shared<const TraceFile>(recorder->file());
+  return replay_state(path);
+}
 
-  // A missing context fails at engine construction.
-  ReplayBackendFactory replay(trace);
-  EngineOptions bad_ctx = opts;
-  bad_ctx.backend_factory = &replay;
-  bad_ctx.backend_context = "other-cell";
-  EXPECT_THROW(Engine(sys, bad_ctx), std::runtime_error);
+EngineOptions replay_options(orchestrator::SpliceBackendFactory* factory) {
+  EngineOptions opts;
+  opts.run_functional_pass = false;
+  opts.backend_factory = factory;
+  opts.backend_context = "cell";
+  return opts;
+}
+
+TEST(Backend, JournalReplayDivergenceFailsLoudly) {
+  const std::string path = fresh_path("diverge.journal");
+  RngState unused;
+  const orchestrator::JournalResume state = two_probe_journal(path, &unused);
+  orchestrator::SpliceBackendFactory replay(nullptr, &state, nullptr);
+  const sim::Subsystem& sys = sim::subsystem('F');
 
   // A different workload at the cursor fails at that probe.
-  EngineOptions replay_opts = opts;
-  replay_opts.backend_factory = &replay;
   {
-    Engine engine(sys, replay_opts);
+    Engine engine(sys, replay_options(&replay));
     Rng rng(3);
     Workload other = simple_write();
     other.num_qps = 99;
-    EXPECT_THROW(engine.run(other, rng), std::runtime_error);
+    try {
+      engine.run(other, rng);
+      ADD_FAILURE() << "diverged workload replayed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("\"cell\" probe 0"),
+                std::string::npos)
+          << e.what();
+    }
   }
-  // Running past the recorded sequence fails too.
+  // Running past the journaled sequence fails too: there is no live tail.
   {
-    Engine engine(sys, replay_opts);
+    Engine engine(sys, replay_options(&replay));
     Rng rng(3);
     engine.run(simple_write(), rng);
     engine.run(catalog::anomaly(1).concrete, rng);
-    EXPECT_THROW(engine.run(simple_write(), rng), std::runtime_error);
+    try {
+      engine.run(simple_write(), rng);
+      ADD_FAILURE() << "replay ran past the journal";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("\"cell\" has no probe 2"),
+                std::string::npos)
+          << e.what();
+    }
   }
+  EXPECT_EQ(replay.live(), 0);
+  std::remove(path.c_str());
 }
 
-TEST(Backend, ReplayRestoresTheRecordedRngStream) {
+TEST(Backend, JournalReplayRestoresTheRecordedRngStream) {
   // The same generator feeds measurement jitter and search decisions, so a
   // replayed probe must leave the Rng exactly where the recording left it.
-  auto recorder = std::make_shared<TraceRecorder>();
-  RecordBackendFactory factory(recorder);
-  EngineOptions opts;
-  opts.run_functional_pass = false;
-  opts.backend_factory = &factory;
-  const sim::Subsystem& sys = sim::subsystem('F');
-  Rng record_rng(17);
-  {
-    Engine engine(sys, opts);
-    engine.run(simple_write(), record_rng);
-  }
-  const RngState after_record = record_rng.state();
-
-  auto trace = std::make_shared<const TraceFile>(recorder->file());
-  ReplayBackendFactory replay_factory(trace);
-  EngineOptions replay_opts = opts;
-  replay_opts.backend_factory = &replay_factory;
-  Engine engine(sys, replay_opts);
-  Rng replay_rng(17);
+  const std::string path = fresh_path("rng.journal");
+  RngState after_record;
+  const orchestrator::JournalResume state =
+      two_probe_journal(path, &after_record);
+  orchestrator::SpliceBackendFactory replay(nullptr, &state, nullptr);
+  Engine engine(sim::subsystem('F'), replay_options(&replay));
+  Rng replay_rng(3);
   engine.run(simple_write(), replay_rng);
+  engine.run(catalog::anomaly(1).concrete, replay_rng);
   EXPECT_EQ(replay_rng.state(), after_record);
   // And the next draws agree.
+  Rng record_rng(0);
+  record_rng.set_state(after_record);
   EXPECT_EQ(record_rng.next_u64(), replay_rng.next_u64());
+  std::remove(path.c_str());
 }
 
 TEST(Backend, MockBackendDrivesACampaign) {

@@ -9,7 +9,8 @@
 //     and random byte flips quarantine the damaged suffix instead of
 //     trusting it, and a repaired journal accepts appends;
 //   * parse_journal reconstructs resumable state from the two record
-//     vocabularies and rejects unknown shapes loudly;
+//     vocabularies and rejects unknown shapes loudly — including truncated,
+//     targeted and random garbles of a real probe record's payload;
 //   * DriverProgress / BoProgress survive their JSON round trips.
 #include <gtest/gtest.h>
 
@@ -29,13 +30,14 @@
 #include "orchestrator/journal.h"
 #include "orchestrator/scheduler.h"
 #include "sim/subsystem.h"
-#include "workload/backend_trace.h"
+#include "workload/engine.h"
 
 namespace collie::orchestrator {
 namespace {
 
 using core::JsonError;
 using core::JsonValue;
+using core::JsonWriter;
 
 std::string tmp_path(const std::string& name) {
   const std::string path = ::testing::TempDir() + "collie_journal_test_" + name;
@@ -311,14 +313,14 @@ TEST(CampaignJournalRecords, ParseJournalReconstructsResumableState) {
   const std::string sched_json = schedule_to_json(
       sched, {"B/Diag#0", "B/Diag#1"}, {3600.0, 3600.0});
 
-  std::vector<workload::TraceProbe> done_probes(3);
-  std::vector<workload::TraceProbe> partial_probes(2);
+  std::vector<JournalProbe> done_probes(3);
+  std::vector<JournalProbe> partial_probes(2);
   core::Mfs partial_mfs;
   {
     CampaignJournal journal(path, /*journal_every=*/1);
     journal.begin("cell", "sa", /*seed=*/17, /*workers=*/1, "sim",
                   sched_json);
-    for (workload::TraceProbe& p : done_probes) {
+    for (JournalProbe& p : done_probes) {
       p.workload = space.random_point(rng);
       p.measurement.stable = true;
       p.rng_after = rng.state();
@@ -343,7 +345,7 @@ TEST(CampaignJournalRecords, ParseJournalReconstructsResumableState) {
     journal.cell_done(done, {PoolEntry{partial_mfs, 0}}, delta, /*lease=*/1);
 
     // The partial cell: probes and streamed extractions, no cell_done.
-    for (workload::TraceProbe& p : partial_probes) {
+    for (JournalProbe& p : partial_probes) {
       p.workload = space.random_point(rng);
       p.rng_after = rng.state();
       journal.probe("B/Diag#1", p.workload, p.measurement, p.rng_after);
@@ -386,7 +388,7 @@ TEST(CampaignJournalRecords, ParseJournalReconstructsResumableState) {
 
   // The partial cell's probes are the splice prefix, bit-exact.
   ASSERT_EQ(r.partial.count("B/Diag#1"), 1u);
-  const std::vector<workload::TraceProbe>& prefix = r.partial.at("B/Diag#1");
+  const std::vector<JournalProbe>& prefix = r.partial.at("B/Diag#1");
   ASSERT_EQ(prefix.size(), partial_probes.size());
   for (std::size_t i = 0; i < prefix.size(); ++i) {
     EXPECT_EQ(prefix[i].workload, partial_probes[i].workload);
@@ -433,6 +435,118 @@ TEST(CampaignJournalRecords, ParseRejectsUnknownShapesLoudly) {
       JsonError);
   // Not JSON at all.
   EXPECT_THROW(parse_journal({"not json"}), JsonError);
+}
+
+// ---- probe records: real payloads, garbled ---------------------------------
+
+// The payloads of a journal holding four probes of one subsystem-F engine:
+// actual simulator measurements (epochs included) and actual post-probe RNG
+// states, so the garbles below hit every field replay depends on.
+std::vector<std::string> real_probe_payloads(std::vector<JournalProbe>* live) {
+  const std::string path = tmp_path("real-probes.journal");
+  const sim::Subsystem& sys = sim::subsystem('F');
+  {
+    CampaignJournal journal(path, /*journal_every=*/1);
+    SpliceBackendFactory factory(nullptr, nullptr, &journal);
+    workload::EngineOptions opts;
+    opts.run_functional_pass = false;
+    opts.backend_factory = &factory;
+    opts.backend_context = "F/Diag#0";
+    const workload::Engine engine(sys, opts);
+    const core::SearchSpace space(sys);
+    Rng rng(41);
+    for (int i = 0; i < 4; ++i) {
+      JournalProbe p;
+      p.workload = space.random_point(rng);
+      p.measurement = engine.run(p.workload, rng);
+      p.rng_after = rng.state();
+      live->push_back(std::move(p));
+    }
+  }
+  const JournalRecovery rec = recover_journal(path, /*repair=*/false);
+  std::remove(path.c_str());
+  return rec.payloads;
+}
+
+TEST(JournalProbeRecords, RoundTripBitExactly) {
+  std::vector<JournalProbe> live;
+  const std::vector<std::string> payloads = real_probe_payloads(&live);
+  ASSERT_EQ(payloads.size(), live.size());
+  const JournalResume r = parse_journal(payloads);
+  EXPECT_EQ(r.probes, 4);
+  const std::vector<JournalProbe>& parsed = r.partial.at("F/Diag#0");
+  ASSERT_EQ(parsed.size(), live.size());
+  for (std::size_t i = 0; i < parsed.size(); ++i) {
+    // Replay hangs on these: workload equality gates the cursor walk, the
+    // RNG state restores the search stream, the measurement is the answer.
+    EXPECT_EQ(parsed[i].workload, live[i].workload);
+    EXPECT_EQ(parsed[i].rng_after, live[i].rng_after);
+    JsonWriter a;
+    JsonWriter b;
+    core::measurement_to_json(parsed[i].measurement, &a);
+    core::measurement_to_json(live[i].measurement, &b);
+    EXPECT_EQ(a.str(), b.str());
+  }
+  // Truncated payloads are rejected with JsonError at every prefix.
+  const std::string& doc = payloads[0];
+  for (std::size_t n = 0; n < doc.size(); n += 17) {
+    EXPECT_THROW(parse_journal({doc.substr(0, n)}), JsonError) << n;
+  }
+  EXPECT_THROW(parse_journal({doc + "]"}), JsonError);
+}
+
+TEST(JournalProbeRecords, RejectTargetedGarbles) {
+  std::vector<JournalProbe> live;
+  const std::string doc = real_probe_payloads(&live)[0];
+  ASSERT_NO_THROW(parse_journal({doc}));
+  // Malformed RNG state: non-hex character, 15-character word, renamed key.
+  {
+    const std::size_t pos = doc.find("\"rng_after\":{\"s\":[\"");
+    ASSERT_NE(pos, std::string::npos);
+    std::string g = doc;
+    g[pos + 19] = 'Z';
+    EXPECT_THROW(parse_journal({g}), JsonError);
+    g = doc;
+    g.erase(pos + 19, 1);
+    EXPECT_THROW(parse_journal({g}), JsonError);
+    g = doc;
+    g.replace(g.find("\"has_spare\""), 11, "\"has_spore\"");
+    EXPECT_THROW(parse_journal({g}), JsonError);
+  }
+  // Counter-sample arity mismatch: drop the first perf sample value.
+  {
+    const std::size_t pos = doc.find("\"perf\":[");
+    ASSERT_NE(pos, std::string::npos);
+    const std::size_t comma = doc.find(',', pos);
+    std::string g = doc;
+    g.erase(pos + 8, comma - (pos + 8) + 1);
+    EXPECT_THROW(parse_journal({g}), JsonError);
+  }
+  // Unknown bottleneck name in the measurement.
+  {
+    const std::size_t pos = doc.find("\"dominant\":\"");
+    ASSERT_NE(pos, std::string::npos);
+    std::string g = doc;
+    g[pos + 12] = 'Z';
+    EXPECT_THROW(parse_journal({g}), JsonError);
+  }
+}
+
+TEST(JournalProbeRecords, RandomGarblesNeverMisbehave) {
+  std::vector<JournalProbe> live;
+  const std::string doc = real_probe_payloads(&live)[0];
+  Rng rng(47);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string garbled = doc;
+    const auto pos = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<i64>(doc.size()) - 1));
+    garbled[pos] = static_cast<char>(rng.uniform_int(1, 127));
+    try {
+      (void)parse_journal({garbled});
+    } catch (const JsonError&) {
+      // Rejection is fine; UB is not (ASan/UBSan CI keeps this honest).
+    }
+  }
 }
 
 // ---- progress documents -----------------------------------------------------

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,12 +22,12 @@
 #include "orchestrator/campaign.h"
 #include "orchestrator/campaign_report.h"
 #include "orchestrator/checkpoint.h"
+#include "orchestrator/journal.h"
 #include "orchestrator/mfs_pool.h"
 #include "orchestrator/scheduler.h"
 #include "net/fabric.h"
 #include "nic/dcqcn.h"
 #include "sim/subsystem.h"
-#include "workload/backend_trace.h"
 
 namespace collie {
 namespace {
@@ -482,151 +484,59 @@ TEST(PersistenceRoundTrip, CampaignReportJsonIsByteIdentical) {
   }
 }
 
-// ---- execution traces (collie-trace-v1) ------------------------------------
+// ---- measurements ----------------------------------------------------------
 
-// A real two-context trace recorded through the engine's record backend —
-// actual simulator measurements (epochs included), actual post-probe RNG
-// states — so the round trip exercises every field the replay leg depends
-// on, not a synthetic subset.
-workload::TraceFile recorded_trace() {
-  auto recorder = std::make_shared<workload::TraceRecorder>();
-  workload::RecordBackendFactory factory(recorder);
-  Rng rng(41);
-  for (const char sys_id : {'B', 'F'}) {
-    const sim::Subsystem& sys = sim::subsystem(sys_id);
-    workload::EngineOptions opts;
-    opts.run_functional_pass = false;
-    opts.backend_factory = &factory;
-    opts.backend_context = std::string(1, sys_id) + "/Diag#0";
-    workload::Engine engine(sys, opts);
-    core::SearchSpace space(sys);
-    sim::EvalScratch scratch;
-    workload::Measurement m;
-    for (int i = 0; i < 4; ++i) {
-      engine.run(space.random_point(rng), rng, scratch, m);
+// Real measurements from a journaled campaign — actual simulator
+// measurements (epochs included) from two cells — so the round trip
+// exercises every field a journal probe record carries, not a synthetic
+// subset.
+std::vector<workload::Measurement> journaled_measurements() {
+  const std::string path =
+      ::testing::TempDir() + "collie_persistence_test_measurements.journal";
+  std::remove(path.c_str());
+  {
+    orchestrator::CampaignConfig config;
+    config.subsystems = {'B', 'F'};
+    config.share = orchestrator::ShareScope::kCell;
+    config.execution = orchestrator::ExecutionMode::kDeterministic;
+    config.budget.seconds = 600.0;
+    config.engine.run_functional_pass = false;
+    orchestrator::CampaignJournal journal(path, /*journal_every=*/64);
+    config.journal = &journal;
+    config.backend_factory =
+        std::make_shared<orchestrator::SpliceBackendFactory>(nullptr, nullptr,
+                                                             &journal);
+    orchestrator::Campaign(config).run();
+  }
+  const orchestrator::JournalResume journal =
+      orchestrator::parse_journal_for_replay(
+          orchestrator::recover_journal(path, /*repair=*/false).payloads);
+  std::remove(path.c_str());
+  std::vector<workload::Measurement> out;
+  for (const auto& [context, probes] : journal.partial) {
+    for (const orchestrator::JournalProbe& p : probes) {
+      out.push_back(p.measurement);
     }
   }
-  return recorder->file();
+  return out;
 }
 
 TEST(PersistenceRoundTrip, MeasurementJsonIsByteIdentical) {
-  const workload::TraceFile trace = recorded_trace();
-  int checked = 0;
-  for (const auto& [context, probes] : trace.contexts) {
-    for (const workload::TraceProbe& p : probes) {
-      JsonWriter json;
-      core::measurement_to_json(p.measurement, &json);
-      const std::string doc = json.str();
-      const workload::Measurement parsed =
-          core::measurement_from_json(JsonValue::parse(doc));
-      JsonWriter again;
-      core::measurement_to_json(parsed, &again);
-      EXPECT_EQ(again.str(), doc) << context;
-      EXPECT_EQ(parsed.samples.size(), p.measurement.samples.size());
-      EXPECT_EQ(parsed.epochs.size(), p.measurement.epochs.size());
-      EXPECT_EQ(parsed.stable, p.measurement.stable);
-      ++checked;
-    }
-  }
-  EXPECT_EQ(checked, 8);
-}
-
-TEST(PersistenceRoundTrip, TraceFileJsonIsByteIdentical) {
-  const workload::TraceFile trace = recorded_trace();
-  ASSERT_EQ(trace.contexts.size(), 2u);
-  const std::string doc = trace.to_json();
-
-  const workload::TraceFile parsed = workload::TraceFile::from_json(doc);
-  EXPECT_EQ(parsed.to_json(), doc);
-  EXPECT_EQ(parsed.substrate, "sim");
-  ASSERT_EQ(parsed.contexts.size(), 2u);
-  for (const auto& [context, probes] : trace.contexts) {
-    const auto& reparsed = parsed.contexts.at(context);
-    ASSERT_EQ(reparsed.size(), probes.size()) << context;
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-      // The replay leg's correctness hangs on these two: workload equality
-      // gates the cursor walk, the RNG state restores the search stream.
-      EXPECT_EQ(reparsed[i].workload, probes[i].workload);
-      EXPECT_EQ(reparsed[i].rng_after, probes[i].rng_after);
-    }
-  }
-
-  // Truncations are rejected with JsonError at every prefix, never UB.
-  for (std::size_t n = 0; n < doc.size(); n += 17) {
-    EXPECT_THROW(workload::TraceFile::from_json(doc.substr(0, n)), JsonError);
-  }
-  EXPECT_THROW(workload::TraceFile::from_json(doc + "]"), JsonError);
-}
-
-TEST(PersistenceRoundTrip, TraceRejectsTargetedGarbles) {
-  workload::TraceFile trace = recorded_trace();
-  // Single-context document so the duplicate-context splice below is easy.
-  trace.contexts.erase("B/Diag#0");
-  const std::string doc = trace.to_json();
-
-  // Unknown schema.
-  {
-    std::string g = doc;
-    g.replace(g.find("collie-trace-v1"), 15, "collie-trace-v9");
-    EXPECT_THROW(workload::TraceFile::from_json(g), JsonError);
-  }
-  // Duplicate context: splice the lone context object in twice.
-  {
-    const std::size_t pos = doc.find("{\"context\":");
-    ASSERT_NE(pos, std::string::npos);
-    const std::string elem = doc.substr(pos, doc.size() - 2 - pos);
-    const std::string g =
-        doc.substr(0, pos) + elem + "," + elem + "]}";
-    EXPECT_THROW(workload::TraceFile::from_json(g), JsonError);
-  }
-  // Malformed RNG state: non-hex character, truncated word, missing key.
-  {
-    const std::size_t pos = doc.find("\"rng_after\":{\"s\":[\"");
-    ASSERT_NE(pos, std::string::npos);
-    std::string g = doc;
-    g[pos + 19] = 'Z';
-    EXPECT_THROW(workload::TraceFile::from_json(g), JsonError);
-    g = doc;
-    g.erase(pos + 19, 1);  // 15-char word
-    EXPECT_THROW(workload::TraceFile::from_json(g), JsonError);
-    g = doc;
-    g.replace(g.find("\"has_spare\""), 11, "\"has_spore\"");
-    EXPECT_THROW(workload::TraceFile::from_json(g), JsonError);
-  }
-  // Counter-sample arity mismatch: drop the first perf sample value.
-  {
-    const std::size_t pos = doc.find("\"perf\":[");
-    ASSERT_NE(pos, std::string::npos);
-    const std::size_t comma = doc.find(',', pos);
-    std::string g = doc;
-    g.erase(pos + 8, comma - (pos + 8) + 1);
-    EXPECT_THROW(workload::TraceFile::from_json(g), JsonError);
-  }
-  // Unknown bottleneck name in the measurement.
-  {
-    const std::size_t pos = doc.find("\"dominant\":\"");
-    ASSERT_NE(pos, std::string::npos);
-    std::string g = doc;
-    g[pos + 12] = 'Z';
-    EXPECT_THROW(workload::TraceFile::from_json(g), JsonError);
-  }
-}
-
-TEST(PersistenceRoundTrip, TraceRandomGarblesNeverMisbehave) {
-  workload::TraceFile trace = recorded_trace();
-  trace.contexts.erase("B/Diag#0");
-  const std::string doc = trace.to_json();
-  Rng rng(47);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::string garbled = doc;
-    const auto pos = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<i64>(doc.size()) - 1));
-    garbled[pos] = static_cast<char>(rng.uniform_int(1, 127));
-    try {
-      (void)workload::TraceFile::from_json(garbled);
-    } catch (const JsonError&) {
-      // Rejection is fine; UB is not (ASan/UBSan CI keeps this honest).
-    }
+  const std::vector<workload::Measurement> measurements =
+      journaled_measurements();
+  ASSERT_GE(measurements.size(), 8u);
+  for (const workload::Measurement& m : measurements) {
+    JsonWriter json;
+    core::measurement_to_json(m, &json);
+    const std::string doc = json.str();
+    const workload::Measurement parsed =
+        core::measurement_from_json(JsonValue::parse(doc));
+    JsonWriter again;
+    core::measurement_to_json(parsed, &again);
+    EXPECT_EQ(again.str(), doc);
+    EXPECT_EQ(parsed.samples.size(), m.samples.size());
+    EXPECT_EQ(parsed.epochs.size(), m.epochs.size());
+    EXPECT_EQ(parsed.stable, m.stable);
   }
 }
 
