@@ -7,100 +7,25 @@
 #include "common/log.h"
 #include "core/json_reader.h"
 #include "orchestrator/journal.h"
-#include "workload/backend.h"
 
 namespace collie::fleet {
 
 Coordinator::Coordinator(orchestrator::CampaignConfig config,
-                         Transport* transport, FleetOptions opts)
+                         FleetOptions opts)
     : config_(orchestrator::Campaign(std::move(config)).config()),
-      transport_(transport),
       opts_(opts),
-      pool_(config_.pool) {
-  pool_.set_telemetry(config_.telemetry);
-  cells_ = orchestrator::Campaign(config_).plan();
-  runnable_ = orchestrator::runnable_cells(config_, cells_);
-  schedule_ = orchestrator::plan_schedule(config_, cells_, runnable_);
-  workers_.resize(static_cast<std::size_t>(schedule_.workers));
-  for (std::size_t w = 0; w < schedule_.queues.size(); ++w) {
-    for (const std::size_t i : schedule_.queues[w]) {
-      workers_[w].queue.push_back(i);
-    }
-  }
-  results_.resize(cells_.size());
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    if (config_.backend_factory != nullptr) {
-      results_[i].backend = config_.backend_factory->substrate();
-    }
-    if (!runnable_[i]) {
-      results_[i].cell = cells_[i];
-      results_[i].skipped = true;
-    } else {
-      ++target_;
-    }
-  }
-  if (config_.warm_start) {
-    for (const auto& [scope, entries] : config_.warm_start->scopes) {
-      pool_.load_scope(scope, entries);
-    }
-  }
-  if (config_.journal != nullptr && config_.resume == nullptr) {
-    std::vector<std::string> labels;
-    std::vector<double> budgets;
-    labels.reserve(cells_.size());
-    budgets.reserve(cells_.size());
-    for (const orchestrator::CampaignCell& cell : cells_) {
-      labels.push_back(cell.label());
-      budgets.push_back(cell.budget_seconds);
-    }
-    config_.journal->begin(
-        orchestrator::to_string(config_.share),
-        orchestrator::to_string(config_.strategy), config_.campaign_seed,
-        schedule_.workers,
-        config_.backend_factory != nullptr
-            ? config_.backend_factory->substrate()
-            : "sim",
-        orchestrator::schedule_to_json(schedule_, labels, budgets));
-  }
-  if (config_.resume != nullptr) {
-    if (config_.journal != nullptr) config_.journal->resume_marker();
-    // Restore every journaled CellDone exactly once: result, pool inserts
-    // (origin-preserved, completion order), hit-delta attribution and the
-    // owner's virtual timeline — then drop the cell from the queues so it
-    // never re-leases.  Cells that were in flight at the crash simply
-    // re-run from scratch; their streamed extractions were knowledge, not
-    // completion.
-    std::map<std::string, std::size_t> by_label;
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-      by_label[cells_[i].label()] = i;
-    }
-    for (const std::string& label : config_.resume->completion_order) {
-      const auto it = by_label.find(label);
-      if (it == by_label.end()) {
-        throw std::invalid_argument(
-            "journal records completed cell " + label +
-            " which is not in this campaign's plan (journal was recorded "
-            "against a different plan?)");
-      }
-      const std::size_t i = it->second;
-      const orchestrator::RestoredCell& rc =
-          config_.resume->completed.at(label);
-      results_[i] = rc.result;
-      results_[i].cell = cells_[i];  // trust our own plan
-      pool_.load_entries(cells_[i].scope(config_.share), rc.inserts);
-      delta_.hits += rc.delta.hits;
-      delta_.cross_worker_hits += rc.delta.cross_worker_hits;
-      delta_.warm_hits += rc.delta.warm_hits;
-      delta_.duplicate_inserts += rc.delta.duplicate_inserts;
-      if (results_[i].worker >= 0 &&
-          results_[i].worker < static_cast<int>(workers_.size())) {
-        workers_[static_cast<std::size_t>(results_[i].worker)].timeline +=
-            rc.result.result.elapsed_seconds;
-      }
-      completed_ += 1;
-      for (WorkerState& ws : workers_) {
-        ws.queue.erase(std::remove(ws.queue.begin(), ws.queue.end(), i),
-                       ws.queue.end());
+      ledger_(config_) {
+  // Lease each logical queue in order; a restored cell never re-leases,
+  // it only advances its worker's virtual timeline.
+  const orchestrator::Schedule& schedule = ledger_.schedule();
+  workers_.resize(static_cast<std::size_t>(schedule.workers));
+  for (std::size_t w = 0; w < schedule.queues.size(); ++w) {
+    for (const std::size_t i : schedule.queues[w]) {
+      if (ledger_.pending(i)) {
+        workers_[w].queue.push_back(i);
+        ++target_;
+      } else {
+        workers_[w].timeline += ledger_.result(i).result.elapsed_seconds;
       }
     }
   }
@@ -123,7 +48,7 @@ void Coordinator::send(int to, Message m) {
 void Coordinator::grant(int worker, std::size_t cell_index,
                         Clock::time_point now) {
   WorkerState& ws = workers_[static_cast<std::size_t>(worker)];
-  const orchestrator::CampaignCell& cell = cells_[cell_index];
+  const orchestrator::CampaignCell& cell = ledger_.cells()[cell_index];
   const u64 id = next_lease_++;
   LeaseState ls;
   ls.worker = worker;
@@ -140,7 +65,7 @@ void Coordinator::grant(int worker, std::size_t cell_index,
   m.scope = ls.scope;
   // Everything already known for this scope: warm-start entries plus every
   // streamed insert — including a dead predecessor's partial extractions.
-  m.preload = pool_.export_entries(ls.scope);
+  m.preload = ledger_.pool().export_entries(ls.scope);
   send(worker, std::move(m));
 
   ws.busy = true;
@@ -163,10 +88,10 @@ void Coordinator::retransmit_lease(int worker, Clock::time_point now) {
   Message m;
   m.type = MsgType::kLeaseCell;
   m.lease = ws.lease;
-  m.cell = cells_[ls.cell];
+  m.cell = ledger_.cells()[ls.cell];
   m.start_seconds = ls.start_seconds;
   m.scope = ls.scope;
-  m.preload = pool_.export_entries(ls.scope);
+  m.preload = ledger_.pool().export_entries(ls.scope);
   send(worker, std::move(m));
   ws.lease_sent = now;
 }
@@ -203,10 +128,11 @@ void Coordinator::apply_inserts(
       // journal can still salvage an in-flight cell's extractions into a
       // checkpoint (journal_to_checkpoint).
       for (const orchestrator::PoolEntry& e : ready) {
-        config_.journal->mfs_batch(cells_[ls.cell].label(), ls.scope, e);
+        config_.journal->mfs_batch(ledger_.cells()[ls.cell].label(),
+                                   ls.scope, e);
       }
     }
-    pool_.load_entries(ls.scope, std::move(ready));
+    ledger_.pool().load_entries(ls.scope, std::move(ready));
     count(&FleetStats::batches, &obs::FleetIds::batches);
   }
 }
@@ -271,19 +197,7 @@ void Coordinator::handle(const Message& m, int from, Clock::time_point now) {
       // carries the complete ordinal-ordered list).
       apply_inserts(ls, 0, m.inserts, /*reconcile=*/true);
       ls.accepted = true;
-      results_[ls.cell] = m.result;
-      results_[ls.cell].cell = cells_[ls.cell];  // trust our own plan
-      if (config_.journal != nullptr) {
-        // Journal the reconciled copy (plan-side cell identity), synced:
-        // once this frame is durable the cell can never be double-counted
-        // by a resumed coordinator.
-        config_.journal->cell_done(results_[ls.cell], m.inserts,
-                                   m.pool_delta, m.lease);
-      }
-      delta_.hits += m.pool_delta.hits;
-      delta_.cross_worker_hits += m.pool_delta.cross_worker_hits;
-      delta_.warm_hits += m.pool_delta.warm_hits;
-      delta_.duplicate_inserts += m.pool_delta.duplicate_inserts;
+      ledger_.accept(ls.cell, m.result, m.inserts, m.pool_delta, m.lease);
       completed_ += 1;
       if (ls.worker >= 0 &&
           ls.worker < static_cast<int>(workers_.size())) {
@@ -294,7 +208,7 @@ void Coordinator::handle(const Message& m, int from, Clock::time_point now) {
           owner.timeline += m.result.result.elapsed_seconds;
         }
       }
-      LOG_DEBUG << "fleet: accepted cell " << cells_[ls.cell].label()
+      LOG_DEBUG << "fleet: accepted cell " << ledger_.cells()[ls.cell].label()
                 << " from worker " << from << " (" << completed_ << "/"
                 << target_ << ")";
       break;
@@ -323,13 +237,13 @@ void Coordinator::check_deaths(Clock::time_point now) {
         orphans_.push_back(it->second.cell);
         count(&FleetStats::requeues, &obs::FleetIds::requeues);
         if (config_.journal != nullptr) {
-          config_.journal->event("revoke", cells_[it->second.cell].label(),
+          config_.journal->event("revoke", ledger_.cells()[it->second.cell].label(),
                                  static_cast<int>(w), ws.lease);
-          config_.journal->event("requeue", cells_[it->second.cell].label(),
+          config_.journal->event("requeue", ledger_.cells()[it->second.cell].label(),
                                  static_cast<int>(w), ws.lease);
         }
         LOG_WARN << "fleet: re-queued cell "
-                 << cells_[it->second.cell].label() << " from dead worker "
+                 << ledger_.cells()[it->second.cell].label() << " from dead worker "
                  << w;
       }
       ws.busy = false;
@@ -340,7 +254,7 @@ void Coordinator::check_deaths(Clock::time_point now) {
     for (const std::size_t i : ws.queue) {
       orphans_.push_back(i);
       if (config_.journal != nullptr) {
-        config_.journal->event("requeue", cells_[i].label(),
+        config_.journal->event("requeue", ledger_.cells()[i].label(),
                                static_cast<int>(w), 0);
       }
     }
@@ -381,37 +295,16 @@ void Coordinator::assign_work(Clock::time_point now) {
         found = true;
         count(&FleetStats::stolen, &obs::FleetIds::stolen);
         LOG_INFO << "fleet: worker " << w << " stole cell "
-                 << cells_[cell_index].label() << " from worker " << victim;
+                 << ledger_.cells()[cell_index].label() << " from worker "
+                << victim;
       }
     }
     if (found) grant(static_cast<int>(w), cell_index, now);
   }
 }
 
-orchestrator::CampaignCheckpoint Coordinator::checkpoint() const {
-  orchestrator::CampaignCheckpoint ck;
-  ck.share = orchestrator::to_string(config_.share);
-  // Warm-start scopes that belong to no planned cell must survive into the
-  // successor checkpoint even though no fold touches them.
-  if (config_.warm_start) ck.scopes = config_.warm_start->scopes;
-  std::vector<char> accepted(cells_.size(), 0);
-  for (const auto& [id, ls] : leases_) {
-    (void)id;
-    if (ls.accepted) accepted[ls.cell] = 1;
-  }
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    const bool done = !runnable_[i] || accepted[i] != 0;
-    if (!done) continue;
-    const bool failed = runnable_[i] && results_[i].failed();
-    orchestrator::checkpoint_cell(
-        ck, failed ? std::string() : cells_[i].label(),
-        cells_[i].scope(config_.share),
-        pool_.snapshot(cells_[i].scope(config_.share)));
-  }
-  return ck;
-}
-
-orchestrator::CampaignResult Coordinator::run() {
+orchestrator::CampaignResult Coordinator::run(Transport* transport) {
+  transport_ = transport;
   auto last_progress = Clock::now();
   std::size_t last_completed = completed_;
   while (completed_ < target_) {
@@ -452,39 +345,7 @@ orchestrator::CampaignResult Coordinator::run() {
     send(static_cast<int>(w), std::move(bye));
   }
 
-  // Assemble exactly the way Campaign::run does, so a fault-free fleet
-  // report serializes byte-identically.
-  orchestrator::CampaignResult result;
-  result.workers = schedule_.workers;
-  result.schedule = schedule_;
-  result.share = config_.share;
-  if (config_.backend_factory != nullptr) {
-    result.backend = config_.backend_factory->substrate();
-  }
-  result.cells = std::move(results_);
-  std::vector<double> worker_elapsed(
-      static_cast<std::size_t>(schedule_.workers), 0.0);
-  for (const orchestrator::CellResult& cr : result.cells) {
-    result.serial_seconds += cr.result.elapsed_seconds;
-    if (cr.worker >= 0 &&
-        cr.worker < static_cast<int>(worker_elapsed.size())) {
-      worker_elapsed[static_cast<std::size_t>(cr.worker)] +=
-          cr.result.elapsed_seconds;
-    }
-  }
-  for (const double t : worker_elapsed) {
-    if (t > result.makespan_seconds) result.makespan_seconds = t;
-  }
-  // The coordinator pool holds the entries (and warm entries) but never
-  // serves a search; hit and duplicate observations live in the accepted
-  // CellDones' worker-local pool deltas.
-  result.pool = pool_.stats();
-  result.pool.hits += delta_.hits;
-  result.pool.cross_worker_hits += delta_.cross_worker_hits;
-  result.pool.warm_hits += delta_.warm_hits;
-  result.pool.duplicate_inserts += delta_.duplicate_inserts;
-  result.pool_scopes = pool_.export_scopes();
-  return result;
+  return ledger_.finish();
 }
 
 }  // namespace collie::fleet

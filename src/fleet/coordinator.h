@@ -1,14 +1,14 @@
 // fleet::Coordinator — the campaign control plane over a Transport.
 //
-// The coordinator owns the cell grid and the shared ConcurrentMfsPool;
-// workers own nothing but the cell they are currently leasing.  It plans
-// the exact schedule the in-process Campaign would (same plan(), same
-// runnable mask, same round-robin/LPT/replay assignment), leases each
-// logical worker's queue to the matching fleet worker in order, applies the
-// MfsBatch extractions workers stream back, and assembles a CampaignResult
-// through the same aggregation the in-process run uses — which is why a
-// fault-free loopback fleet report is byte-identical to the in-process one
-// under cell scopes.
+// The coordinator drives the same orchestrator::CampaignLedger the
+// in-process Campaign does — one plan, schedule, warm start, journal
+// begin/resume, restore and result assembly — and keeps only the fleet's
+// own concerns: leases, heartbeats, steals and ordered MfsBatch
+// application.  Workers own nothing but the cell they are currently
+// leasing.  Each logical worker's queue goes to the matching fleet worker
+// in order and every accepted CellDone goes through CampaignLedger::accept,
+// which is why a fault-free loopback fleet report is byte-identical to the
+// in-process one under cell scopes.
 //
 // Fault tolerance:
 //  - Death: a worker that goes silent past heartbeat_timeout is declared
@@ -78,21 +78,20 @@ struct FleetStats {
 class Coordinator {
  public:
   // `config` is normalized through Campaign's constructor (same validation
-  // as the in-process path).  `transport` must outlive run().
-  Coordinator(orchestrator::CampaignConfig config, Transport* transport,
-              FleetOptions opts = {});
+  // as the in-process path) and planned into the ledger.
+  explicit Coordinator(orchestrator::CampaignConfig config,
+                       FleetOptions opts = {});
 
-  // Drive the whole campaign over the transport; returns when every
-  // runnable cell has exactly one accepted result.  Sends a shutdown lease
-  // to every worker before returning.  Throws std::runtime_error on stall.
-  orchestrator::CampaignResult run();
+  // The normalized config every worker must execute against.
+  const orchestrator::CampaignConfig& config() const { return config_; }
+  // Fleet workers the schedule needs: its logical worker count.
+  int workers() const { return static_cast<int>(workers_.size()); }
 
-  // Incremental checkpoint of everything accepted so far: one
-  // checkpoint_cell fold per skipped or accepted cell, in plan order.
-  // After run() returns this is byte-identical to make_checkpoint of the
-  // returned result; mid-run it is a valid warm-start for a successor
-  // campaign (cells still in flight simply re-run).
-  orchestrator::CampaignCheckpoint checkpoint() const;
+  // Drive the whole campaign over `transport` (endpoints 0..workers()-1
+  // plus kCoordinatorId); returns when every runnable cell has exactly one
+  // accepted result.  Sends a shutdown lease to every worker before
+  // returning.  Throws std::runtime_error on stall.  Call once.
+  orchestrator::CampaignResult run(Transport* transport);
 
   const FleetStats& stats() const { return stats_; }
 
@@ -137,22 +136,14 @@ class Coordinator {
   void count(i64 FleetStats::* field, obs::CounterId obs::FleetIds::* id);
 
   orchestrator::CampaignConfig config_;
-  Transport* transport_;
   FleetOptions opts_;
+  orchestrator::CampaignLedger ledger_;  // after config_: it keeps a reference
+  Transport* transport_ = nullptr;
   FleetStats stats_;
 
-  std::vector<orchestrator::CampaignCell> cells_;
-  std::vector<bool> runnable_;
-  orchestrator::Schedule schedule_;
-  orchestrator::ConcurrentMfsPool pool_;
-  // Summed hit/duplicate observations from accepted CellDones' worker-local
-  // pools (the coordinator pool never serves a search, so these are the
-  // campaign's only observation sources).
-  orchestrator::PoolStats delta_;
   std::vector<WorkerState> workers_;
   std::map<u64, LeaseState> leases_;
   std::deque<std::size_t> orphans_;  // re-queued cells, served first
-  std::vector<orchestrator::CellResult> results_;
   std::size_t completed_ = 0;
   std::size_t target_ = 0;
   u64 next_lease_ = 1;

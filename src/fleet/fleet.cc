@@ -8,30 +8,23 @@ namespace collie::fleet {
 
 FleetRunResult run_loopback_fleet(orchestrator::CampaignConfig config,
                                   FleetRunOptions opts) {
-  // Normalize exactly once (Campaign's constructor validation), then hand
-  // the same normalized config to the coordinator and every worker so both
+  // The coordinator normalizes and plans; its transport endpoints and every
+  // worker follow its schedule and share its normalized config, so both
   // sides derive identical cell RNG streams and engine options.
-  const orchestrator::CampaignConfig normalized =
-      orchestrator::Campaign(std::move(config)).config();
-  const std::vector<orchestrator::CampaignCell> cells =
-      orchestrator::Campaign(normalized).plan();
-  const orchestrator::Schedule schedule = orchestrator::plan_schedule(
-      normalized, cells, orchestrator::runnable_cells(normalized, cells));
-
-  LoopbackTransport transport(schedule.workers);
+  Coordinator coordinator(std::move(config), opts.coordinator);
+  const int workers = coordinator.workers();
+  LoopbackTransport transport(workers);
   for (const FaultRule& rule : opts.faults) transport.add_fault(rule);
 
-  Coordinator coordinator(normalized, &transport, opts.coordinator);
-
   std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(schedule.workers));
-  for (int w = 0; w < schedule.workers; ++w) {
+  threads.reserve(static_cast<std::size_t>(workers));
+  for (int w = 0; w < workers; ++w) {
     WorkerOptions wopts;
     wopts.heartbeat_interval = opts.coordinator.heartbeat_interval;
     if (w == opts.kill_worker) wopts.kill_at_cell = opts.kill_at_cell;
     if (w == opts.slow_worker) wopts.slow_probe_us = opts.slow_probe_us;
-    threads.emplace_back([w, &normalized, &transport, wopts] {
-      FleetWorker worker(w, normalized, &transport, wopts);
+    threads.emplace_back([w, &coordinator, &transport, wopts] {
+      FleetWorker worker(w, coordinator.config(), &transport, wopts);
       worker.run();
     });
   }
@@ -39,14 +32,14 @@ FleetRunResult run_loopback_fleet(orchestrator::CampaignConfig config,
   FleetRunResult out;
   std::exception_ptr failure;
   try {
-    out.campaign = coordinator.run();
+    out.campaign = coordinator.run(&transport);
   } catch (...) {
     failure = std::current_exception();
   }
   // Closing every endpoint unblocks any worker still in recv (a killed
   // worker's replacement, a zombie that missed the shutdown lease) so the
   // joins below cannot hang.
-  for (int w = 0; w < schedule.workers; ++w) transport.close(w);
+  for (int w = 0; w < workers; ++w) transport.close(w);
   transport.close(kCoordinatorId);
   for (std::thread& t : threads) t.join();
   if (failure) std::rethrow_exception(failure);

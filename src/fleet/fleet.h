@@ -1,12 +1,12 @@
 // run_loopback_fleet — one-call distributed campaign on the in-process
 // transport.
 //
-// Spawns one FleetWorker thread per logical worker of the campaign's
-// schedule, runs the Coordinator on the calling thread, and tears the
-// transport down so every thread joins.  With no fault injection the
-// returned CampaignResult is byte-identical (report JSON and checkpoint
-// JSON) to Campaign::run() under ShareScope::kCell — the fleet-smoke CI job
-// `cmp`s exactly that.
+// Builds the Coordinator (which normalizes and plans the campaign once),
+// spawns one FleetWorker thread per logical worker of its schedule, runs
+// the Coordinator on the calling thread, and tears the transport down so
+// every thread joins.  With no fault injection the returned CampaignResult
+// is byte-identical (report JSON and checkpoint JSON) to Campaign::run()
+// under ShareScope::kCell — the fleet-smoke CI job `cmp`s exactly that.
 #pragma once
 
 #include <vector>
@@ -44,10 +44,10 @@ struct FleetRunResult {
   i64 delayed = 0;
 };
 
-// Run `config` as a loopback fleet.  The worker count is the schedule's
-// logical worker count (config.workers under round-robin/LPT, the recorded
-// schedule's under replay).  Throws what Coordinator::run throws (stall,
-// invalid config).
+// Run `config` as a loopback fleet.  The worker count is the coordinator's
+// (Coordinator::workers(): config.workers under round-robin/LPT, the
+// recorded schedule's under replay).  Throws what Coordinator's constructor
+// and run() throw (invalid config, stall).
 FleetRunResult run_loopback_fleet(orchestrator::CampaignConfig config,
                                   FleetRunOptions opts = {});
 

@@ -72,9 +72,9 @@ struct Message {
 
   // kCellDone
   orchestrator::CellResult result;
-  // The worker-local pool's stats after the cell: the coordinator sums the
-  // hit/duplicate fields across accepted CellDones (its own pool never
-  // serves a search, so only workers observe hits).
+  // The cell's pool delta (RecordingStore::delta): the campaign ledger
+  // sums the hit/duplicate fields across accepted cells (the coordinator's
+  // own pool never serves a search, so only workers observe hits).
   orchestrator::PoolStats pool_delta;
 
   // kHeartbeat

@@ -1,7 +1,9 @@
 #include "fleet/worker.h"
 
 #include <chrono>
+#include <condition_variable>
 #include <functional>
+#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -19,61 +21,37 @@ using Clock = std::chrono::steady_clock;
 // killed worker must vanish mid-cell without producing any result at all.
 struct Killed {};
 
-// The MfsStore a leased cell searches against: every consult delegates to
-// the worker-local pool view (so MatchMFS semantics — hit attribution,
-// duplicate accounting, first-cover order — are exactly the in-process
-// campaign's), and every fresh insert is handed to the worker for streaming
-// back to the coordinator as an ordinal-numbered MfsBatch.
-class StreamingStore final : public core::MfsStore {
+// Sends a busy heartbeat every `interval` from its own thread until
+// destroyed: for the whole lease, through slow probes and the CellDone
+// serialization alike, and on the unwind of an injected kill.
+class HeartbeatThread {
  public:
-  StreamingStore(orchestrator::ConcurrentMfsPool::View* view, int origin,
-                 std::function<void(u64, const orchestrator::PoolEntry&)>
-                     on_insert,
-                 std::function<void(i64)> on_tick)
-      : view_(view),
-        origin_(origin),
-        on_insert_(std::move(on_insert)),
-        on_tick_(std::move(on_tick)) {}
-
-  bool covers(const core::SearchSpace& space, const Workload& w) override {
-    tick();
-    return view_->covers(space, w);
+  HeartbeatThread(std::chrono::milliseconds interval,
+                  std::function<void()> beat)
+      : thread_([this, interval, beat = std::move(beat)] {
+          std::unique_lock<std::mutex> lock(mu_);
+          while (!cv_.wait_for(lock, interval, [this] { return stop_; })) {
+            lock.unlock();
+            beat();
+            lock.lock();
+          }
+        }) {}
+  ~HeartbeatThread() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    cv_.notify_one();
+    thread_.join();
   }
-  bool covers_preloaded(const core::SearchSpace& space,
-                        const Workload& w) override {
-    tick();
-    return view_->covers_preloaded(space, w);
-  }
-  int insert(const core::SearchSpace& space, core::Mfs mfs) override {
-    core::Mfs copy = mfs;
-    const int index = view_->insert(space, std::move(mfs));
-    copy.index = index;
-    inserts_.push_back(orchestrator::PoolEntry{std::move(copy), origin_});
-    on_insert_(static_cast<u64>(inserts_.size() - 1), inserts_.back());
-    return index;
-  }
-  std::size_t size() const override { return view_->size(); }
-  std::vector<core::Mfs> snapshot() const override {
-    return view_->snapshot();
-  }
-
-  const std::vector<orchestrator::PoolEntry>& inserts() const {
-    return inserts_;
-  }
-  i64 consults() const { return consults_; }
+  HeartbeatThread(const HeartbeatThread&) = delete;
+  HeartbeatThread& operator=(const HeartbeatThread&) = delete;
 
  private:
-  void tick() {
-    consults_ += 1;
-    on_tick_(consults_);
-  }
-
-  orchestrator::ConcurrentMfsPool::View* view_;
-  int origin_;
-  std::function<void(u64, const orchestrator::PoolEntry&)> on_insert_;
-  std::function<void(i64)> on_tick_;
-  std::vector<orchestrator::PoolEntry> inserts_;
-  i64 consults_ = 0;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool stop_ = false;
+  std::thread thread_;  // last: starts once the members it uses exist
 };
 
 }  // namespace
@@ -88,11 +66,11 @@ void FleetWorker::send(Message m) {
   transport_->send(id_, kCoordinatorId, m.to_json());
 }
 
-void FleetWorker::heartbeat(bool busy, i64 probes) {
+void FleetWorker::heartbeat(u64 lease, i64 probes) {
   Message m;
   m.type = MsgType::kHeartbeat;
-  m.lease = busy ? done_lease_ : 0;
-  m.busy = busy;
+  m.lease = lease;
+  m.busy = lease != 0;
   m.probes = probes;
   send(std::move(m));
 }
@@ -107,16 +85,20 @@ void FleetWorker::run_lease(const Message& lease) {
   pool.load_entries(lease.scope, lease.preload);
   orchestrator::ConcurrentMfsPool::View view = pool.view(lease.scope, id_);
 
+  const u64 id = lease.lease;
+  std::atomic<i64> consults{0};
+  const HeartbeatThread beat(opts_.heartbeat_interval, [this, id, &consults] {
+    heartbeat(id, consults.load(std::memory_order_relaxed));
+  });
   const bool kill_here = !opts_.kill_at_cell.empty() &&
                          lease.cell.label() == opts_.kill_at_cell;
-  auto last_beat = Clock::now();
-  StreamingStore store(
-      &view, id_,
-      [this, &lease, kill_here](u64 ordinal,
-                                const orchestrator::PoolEntry& entry) {
+  orchestrator::RecordingStore store(
+      view,
+      [this, id, kill_here](u64 ordinal,
+                            const orchestrator::PoolEntry& entry) {
         Message batch;
         batch.type = MsgType::kMfsBatch;
-        batch.lease = lease.lease;
+        batch.lease = id;
         batch.first_ordinal = ordinal;
         batch.inserts.push_back(entry);
         send(std::move(batch));
@@ -125,48 +107,33 @@ void FleetWorker::run_lease(const Message& lease) {
         // replacement lease must warm-skip.
         if (kill_here && ordinal == 0) throw Killed{};
       },
-      [this, &lease, &last_beat](i64 consults) {
+      [this, &consults] {
         if (opts_.slow_probe_us > 0) {
           std::this_thread::sleep_for(
               std::chrono::microseconds(opts_.slow_probe_us));
         }
-        const auto now = Clock::now();
-        if (now - last_beat >= opts_.heartbeat_interval) {
-          last_beat = now;
-          Message m;
-          m.type = MsgType::kHeartbeat;
-          m.lease = lease.lease;
-          m.busy = true;
-          m.probes = consults;
-          send(std::move(m));
-        }
+        consults.fetch_add(1, std::memory_order_relaxed);
       });
 
-  const Rng rng = Rng(config_.campaign_seed).split(lease.cell.stream);
   // The campaign journal belongs to the coordinator (accepted CellDones,
   // lease events); a worker writing driver progress into the same journal
-  // would interleave foreign records, so drop the seam before executing.
-  orchestrator::CellExecutionOptions exec_opts =
-      orchestrator::cell_execution_options(config_);
-  exec_opts.journal = nullptr;
+  // would interleave foreign records, so the cell runs without one.
   orchestrator::CellResult cr = orchestrator::execute_cell(
-      exec_opts, lease.cell, id_, lease.start_seconds, rng, view, &store);
+      config_, lease.cell, lease.start_seconds, store, /*progress=*/nullptr);
   // A kill on a cell that never extracts: die at cell end, before CellDone
   // — the coordinator still sees the lease vanish and re-queues it.
   if (kill_here && store.inserts().empty()) throw Killed{};
 
   Message done;
   done.type = MsgType::kCellDone;
-  done.lease = lease.lease;
+  done.lease = id;
   done.result = std::move(cr);
   done.inserts = store.inserts();
-  done.pool_delta = pool.stats();
-  done_lease_ = lease.lease;
-  done_payload_ = [this, &done] {
-    done.sender = id_;
-    done.seq = ++seq_;
-    return done.to_json();
-  }();
+  done.pool_delta = store.delta();
+  done.sender = id_;
+  done.seq = ++seq_;
+  done_lease_ = id;
+  done_payload_ = done.to_json();
   transport_->send(id_, kCoordinatorId, done_payload_);
   done_acked_ = false;
   done_sent_ = Clock::now();
@@ -174,7 +141,7 @@ void FleetWorker::run_lease(const Message& lease) {
 
 void FleetWorker::run() {
   try {
-    heartbeat(false, 0);
+    heartbeat(0, 0);
     for (;;) {
       int from = 0;
       std::string payload;
@@ -187,7 +154,7 @@ void FleetWorker::run() {
           transport_->send(id_, kCoordinatorId, done_payload_);
           done_sent_ = now;
         }
-        heartbeat(false, 0);
+        heartbeat(0, 0);
         continue;
       }
       Message m;

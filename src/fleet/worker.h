@@ -2,13 +2,14 @@
 //
 // A worker owns no campaign state: it waits for LeaseCell messages, runs
 // each leased cell through the exact execute_cell path the in-process
-// campaign uses (same RNG split, same engine options, same MatchMFS store
-// semantics against a worker-local pool preloaded from the lease), streams
-// every fresh MFS extraction back as an ordinal-numbered MfsBatch, and
-// reports the finished cell as a CellDone it retransmits until the
-// coordinator Acks.  Heartbeats flow whenever the worker is idle and from
-// inside the probe loop while a cell runs, so a dead worker is one that
-// went silent — not merely one that is busy.
+// campaign uses (same RNG split, same engine options, same RecordingStore
+// over a worker-local pool preloaded from the lease), streams every fresh
+// MFS extraction back as an ordinal-numbered MfsBatch, and reports the
+// finished cell as a CellDone it retransmits until the coordinator Acks.
+// The message loop heartbeats while idle; while a lease runs, a heartbeat
+// thread beats on the same cadence until the CellDone is on the wire, so a
+// dead worker is one that went silent — not one stuck in a slow probe or
+// serializing a large result.
 //
 // Fault injection (tests / demos only): kill_at_cell makes the worker die
 // silently mid-cell — right after streaming its first MfsBatch when the
@@ -17,6 +18,7 @@
 // emulate a slow host for the coordinator's steal logic.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <string>
 
@@ -27,7 +29,7 @@
 namespace collie::fleet {
 
 struct WorkerOptions {
-  // Idle-heartbeat cadence, and the floor between mid-cell heartbeats.
+  // Heartbeat cadence, idle and busy alike.
   std::chrono::milliseconds heartbeat_interval{20};
   // Unacked CellDone retransmit cadence.
   std::chrono::milliseconds retransmit{50};
@@ -39,9 +41,9 @@ struct WorkerOptions {
 
 class FleetWorker {
  public:
-  // `config` is the same campaign config the coordinator plans from (shared
-  // read-only; the worker derives each cell's RNG from config.campaign_seed
-  // and the leased cell's stream index).
+  // `config` is the coordinator's normalized config (shared read-only; the
+  // worker derives each cell's RNG from config.campaign_seed and the leased
+  // cell's stream index).
   FleetWorker(int id, const orchestrator::CampaignConfig& config,
               Transport* transport, WorkerOptions opts = {});
 
@@ -52,7 +54,8 @@ class FleetWorker {
   int id() const { return id_; }
 
  private:
-  void heartbeat(bool busy, i64 probes);
+  // `lease` 0 = idle.  Thread-safe: the heartbeat thread sends too.
+  void heartbeat(u64 lease, i64 probes);
   void send(Message m);
   // Execute a lease end to end (blocking) and stage the CellDone.
   void run_lease(const Message& lease);
@@ -61,7 +64,7 @@ class FleetWorker {
   const orchestrator::CampaignConfig& config_;
   Transport* transport_;
   WorkerOptions opts_;
-  u64 seq_ = 0;
+  std::atomic<u64> seq_{0};
 
   // The last completed lease and its CellDone payload, retransmitted until
   // the coordinator Acks (or re-announces the lease).

@@ -102,15 +102,18 @@ Campaign::Campaign(CampaignConfig config) : config_(std::move(config)) {
   }
 }
 
-std::vector<CampaignCell> Campaign::plan() const {
+namespace {
+
+// The deterministic cell list (Campaign::plan).
+std::vector<CampaignCell> plan_cells(const CampaignConfig& config) {
   std::vector<CampaignCell> cells;
   // Subsystem-major order interleaves same-subsystem cells across adjacent
   // workers under round-robin assignment, maximising concurrent sharing.
-  for (const char sys : config_.subsystems) {
-    for (const std::string& fabric : config_.fabrics) {
-      for (const std::string& cc : config_.ccs) {
-        for (const core::GuidanceMode mode : config_.modes) {
-          for (int seed = 0; seed < config_.seeds_per_cell; ++seed) {
+  for (const char sys : config.subsystems) {
+    for (const std::string& fabric : config.fabrics) {
+      for (const std::string& cc : config.ccs) {
+        for (const core::GuidanceMode mode : config.modes) {
+          for (int seed = 0; seed < config.seeds_per_cell; ++seed) {
             CampaignCell cell;
             cell.subsystem = sys;
             cell.fabric = fabric;
@@ -119,10 +122,10 @@ std::vector<CampaignCell> Campaign::plan() const {
             cell.seed_ordinal = seed;
             cell.stream = static_cast<u64>(cells.size());
             cell.budget_seconds =
-                config_.budget_cycle_seconds.empty()
-                    ? config_.budget.seconds
-                    : config_.budget_cycle_seconds[cells.size() %
-                          config_.budget_cycle_seconds.size()];
+                config.budget_cycle_seconds.empty()
+                    ? config.budget.seconds
+                    : config.budget_cycle_seconds[cells.size() %
+                          config.budget_cycle_seconds.size()];
             cells.push_back(cell);
           }
         }
@@ -131,189 +134,6 @@ std::vector<CampaignCell> Campaign::plan() const {
   }
   return cells;
 }
-
-CellExecutionOptions cell_execution_options(const CampaignConfig& config) {
-  CellExecutionOptions opts;
-  opts.strategy = config.strategy;
-  opts.share = config.share;
-  opts.budget = config.budget;
-  opts.sa = config.sa;
-  opts.engine = config.engine;
-  opts.backend_factory = config.backend_factory.get();
-  opts.telemetry = config.telemetry;
-  opts.journal = config.journal;
-  return opts;
-}
-
-CellResult execute_cell(const CellExecutionOptions& opts,
-                        const CampaignCell& cell, int worker,
-                        double start_seconds, Rng rng,
-                        ConcurrentMfsPool::View& view,
-                        core::MfsStore* store) {
-  CellResult cr;
-  cr.cell = cell;
-  cr.worker = worker;
-  cr.start_seconds = start_seconds;
-  if (opts.backend_factory != nullptr) {
-    cr.backend = opts.backend_factory->substrate();
-  }
-  if (store == nullptr) store = &view;
-  // A cell that throws (bad catalog id, scenario materialization failure,
-  // engine error) must not take the worker thread — and with it the whole
-  // fleet — down.  It is recorded as failed; the report counts it
-  // separately from covered cells.
-  try {
-    const sim::Subsystem sys = cell.materialize();
-    workload::EngineOptions engine_opts = opts.engine;
-    // Nothing in the campaign reads per-epoch series; skipping the copy
-    // keeps the probe loop free of per-experiment allocations.  Verdicts,
-    // traces and RNG streams are unaffected.
-    engine_opts.keep_epochs = false;
-    engine_opts.telemetry = obs::ProbeTelemetry(opts.telemetry, worker);
-    engine_opts.backend_factory = opts.backend_factory;
-    engine_opts.backend_context = cell.label();
-    const workload::Engine engine(sys, engine_opts);
-    const core::SearchSpace space(sys);
-    core::SearchDriver driver(engine, space);
-    driver.set_telemetry(obs::ProbeTelemetry(opts.telemetry, worker));
-    if (opts.journal != nullptr) {
-      CampaignJournal* journal = opts.journal;
-      const std::string label = cell.label();
-      driver.set_progress_hook(
-          [journal, label](const core::DriverProgress& p) {
-            journal->driver_state(label, p.to_json());
-          },
-          opts.journal->every());
-    }
-    core::SearchBudget budget = opts.budget;
-    budget.seconds = cell.budget_seconds;
-
-    if (opts.strategy == Strategy::kSimulatedAnnealing) {
-      core::SaConfig sa = opts.sa;
-      sa.mode = cell.mode;
-      cr.result = driver.run_simulated_annealing(sa, budget, rng, *store);
-    } else {
-      cr.result = driver.run_random(budget, rng, opts.sa.use_mfs, *store);
-    }
-    cr.cross_worker_skips = view.cross_worker_hits();
-    cr.warm_start_skips = view.warm_hits();
-  } catch (const std::exception& e) {
-    cr.error = e.what();
-    LOG_WARN << "worker " << worker << " cell " << cell.label()
-             << " failed: " << cr.error;
-    return cr;
-  }
-  LOG_DEBUG << "worker " << worker << " finished cell " << cell.label()
-            << ": " << cr.result.found.size() << " anomalies, "
-            << cr.result.mfs_skips << " skips (" << cr.cross_worker_skips
-            << " cross-worker)";
-  return cr;
-}
-
-CellResult Campaign::run_cell(int worker, double start_seconds,
-                              const CampaignCell& cell, Rng rng,
-                              ConcurrentMfsPool& pool) {
-  obs::Telemetry* tel = config_.telemetry;
-  if (config_.resume != nullptr) {
-    const auto done = config_.resume->completed.find(cell.label());
-    if (done != config_.resume->completed.end()) {
-      // The cell ran to completion before the crash: restore its journaled
-      // result verbatim (the pool already holds its inserts, loaded in
-      // completion order by run()).  Plan-side identity wins over the
-      // recorded copy so timeline aggregation stays structural.
-      CellResult cr = done->second.result;
-      cr.cell = cell;
-      cr.worker = worker;
-      cr.start_seconds = start_seconds;
-      if (tel != nullptr) {
-        tel->registry().add(worker,
-                            cr.failed() ? cells_failed_ : cells_completed_);
-      }
-      return cr;
-    }
-  }
-  const u64 wall_start = tel != nullptr ? obs::now_ticks() : 0;
-  const std::string scope = cell.scope(config_.share);
-  ConcurrentMfsPool::View view = pool.view(scope, worker);
-  CellResult cr;
-  if (config_.journal != nullptr) {
-    JournalingStore store(view, config_.journal, cell.label(), scope, worker);
-    cr = execute_cell(cell_execution_options(config_), cell, worker,
-                      start_seconds, rng, view, &store);
-    PoolStats delta;
-    delta.entries = static_cast<i64>(store.inserts().size());
-    delta.hits = view.hits();
-    delta.cross_worker_hits = view.cross_worker_hits();
-    delta.warm_hits = view.warm_hits();
-    delta.duplicate_inserts = view.duplicate_inserts();
-    // Lease ids start at 1; in-process campaigns use plan index + 1 (the
-    // cell's rng stream index is its plan position).
-    config_.journal->cell_done(cr, store.inserts(), delta, cell.stream + 1);
-  } else {
-    cr = execute_cell(cell_execution_options(config_), cell, worker,
-                      start_seconds, rng, view);
-  }
-  if (tel != nullptr) {
-    obs::Registry& reg = tel->registry();
-    reg.add(worker, cr.failed() ? cells_failed_ : cells_completed_);
-    if (worker >= 0 && worker < static_cast<int>(worker_ids_.size())) {
-      reg.add(worker, worker_ids_[static_cast<std::size_t>(worker)].busy_ns,
-              static_cast<i64>(obs::now_ticks() - wall_start));
-    }
-  }
-  return cr;
-}
-
-void Campaign::run_queue(int logical_worker,
-                         const std::vector<std::size_t>& queue,
-                         const std::vector<CampaignCell>& cells,
-                         const std::vector<Rng>& streams,
-                         ConcurrentMfsPool& pool,
-                         std::vector<CellResult>& out) {
-  double timeline = 0.0;
-  for (const std::size_t i : queue) {
-    out[i] = run_cell(logical_worker, timeline, cells[i], streams[i], pool);
-    timeline += out[i].result.elapsed_seconds;
-    note_cell_drained(logical_worker);
-  }
-}
-
-void Campaign::setup_telemetry(const Schedule& schedule, i64 skipped_cells) {
-  obs::Telemetry* tel = config_.telemetry;
-  if (tel == nullptr) return;
-  obs::Registry& reg = tel->registry();
-  cells_completed_ = reg.counter("campaign.cells_completed");
-  cells_failed_ = reg.counter("campaign.cells_failed");
-  cells_skipped_ = reg.counter("campaign.cells_skipped");
-  if (skipped_cells > 0) reg.add(0, cells_skipped_, skipped_cells);
-  worker_ids_.clear();
-  const int named = std::min(schedule.workers, kMaxWorkerInstruments);
-  for (int w = 0; w < named; ++w) {
-    WorkerIds ids;
-    ids.busy_ns =
-        reg.counter("campaign.worker." + std::to_string(w) + ".busy_ns");
-    ids.queue_depth =
-        reg.gauge("campaign.worker." + std::to_string(w) + ".queue_depth");
-    worker_ids_.push_back(ids);
-  }
-  for (std::size_t w = 0;
-       w < schedule.queues.size() && w < worker_ids_.size(); ++w) {
-    reg.gauge_set(static_cast<int>(w), worker_ids_[w].queue_depth,
-                  static_cast<i64>(schedule.queues[w].size()));
-  }
-}
-
-void Campaign::note_cell_drained(int worker) {
-  obs::Telemetry* tel = config_.telemetry;
-  if (tel == nullptr || worker < 0 ||
-      worker >= static_cast<int>(worker_ids_.size())) {
-    return;
-  }
-  tel->registry().gauge_add(
-      worker, worker_ids_[static_cast<std::size_t>(worker)].queue_depth, -1);
-}
-
-namespace {
 
 void validate_replay(const Schedule& schedule,
                      const std::vector<CampaignCell>& cells,
@@ -366,11 +186,10 @@ void validate_replay(const Schedule& schedule,
   }
 }
 
-}  // namespace
-
+// Warm-start gating: false for cells the checkpoint records as completed.
+// Throws when the checkpoint's sharing policy differs from the config's.
 std::vector<bool> runnable_cells(const CampaignConfig& config,
                                  const std::vector<CampaignCell>& cells) {
-  // Warm start: cells the checkpoint records as completed never run.
   std::vector<bool> runnable(cells.size(), true);
   if (config.warm_start) {
     // Scope keys only mean anything under the sharing policy they were
@@ -391,49 +210,160 @@ std::vector<bool> runnable_cells(const CampaignConfig& config,
   return runnable;
 }
 
+std::vector<double> cell_budgets(const std::vector<CampaignCell>& cells) {
+  std::vector<double> budgets;
+  budgets.reserve(cells.size());
+  for (const CampaignCell& cell : cells) budgets.push_back(cell.budget_seconds);
+  return budgets;
+}
+
+// The realized cell -> logical-worker schedule: a validated replay when
+// config.replay is set, else LPT or round-robin over runnable cells.
+// Budgets stand in for durations — searches run to their wall budget, so
+// the virtual-time assignment matches reality.
 Schedule plan_schedule(const CampaignConfig& config,
                        const std::vector<CampaignCell>& cells,
                        const std::vector<bool>& runnable) {
-  std::vector<double> budgets;
-  budgets.reserve(cells.size());
-  for (const CampaignCell& cell : cells) budgets.push_back(cell.budget_seconds);
-
-  // The schedule: replayed (and validated against this plan), or computed
-  // from the policy.  Budgets stand in for durations — searches run to
-  // their wall budget, so the virtual-time assignment matches reality.
-  Schedule schedule;
   if (config.replay) {
-    schedule = *config.replay;
-    validate_replay(schedule, cells, runnable);
-  } else if (config.schedule == SchedulePolicy::kLpt) {
-    schedule = lpt_schedule(budgets, runnable, config.workers);
-  } else {
-    schedule = round_robin_schedule(runnable, config.workers);
+    validate_replay(*config.replay, cells, runnable);
+    return *config.replay;
   }
-  return schedule;
+  if (config.schedule == SchedulePolicy::kLpt) {
+    return lpt_schedule(cell_budgets(cells), runnable, config.workers);
+  }
+  return round_robin_schedule(runnable, config.workers);
 }
 
-CampaignResult Campaign::run() {
-  const std::vector<CampaignCell> cells = plan();
-  const std::vector<bool> runnable = runnable_cells(config_, cells);
-  const Schedule schedule = plan_schedule(config_, cells, runnable);
+std::string substrate_of(const CampaignConfig& config) {
+  return config.backend_factory != nullptr
+             ? config.backend_factory->substrate()
+             : "sim";
+}
 
-  std::vector<double> budgets;
-  budgets.reserve(cells.size());
-  for (const CampaignCell& cell : cells) budgets.push_back(cell.budget_seconds);
+}  // namespace
 
-  // Split every cell's stream off the campaign seed up front; the draw a
-  // cell sees is a pure function of (campaign_seed, cell index).
-  const Rng root(config_.campaign_seed);
-  std::vector<Rng> streams;
-  streams.reserve(cells.size());
-  for (const CampaignCell& cell : cells) streams.push_back(root.split(cell.stream));
+std::vector<CampaignCell> Campaign::plan() const { return plan_cells(config_); }
 
-  i64 skipped_cells = 0;
-  for (const bool r : runnable) {
-    if (!r) ++skipped_cells;
+// ---- RecordingStore -------------------------------------------------------
+
+RecordingStore::RecordingStore(ConcurrentMfsPool::View& view,
+                               InsertHook on_insert, ConsultHook on_consult)
+    : view_(view),
+      on_insert_(std::move(on_insert)),
+      on_consult_(std::move(on_consult)) {}
+
+bool RecordingStore::covers(const core::SearchSpace& space,
+                            const Workload& w) {
+  if (on_consult_) on_consult_();
+  return view_.covers(space, w);
+}
+
+bool RecordingStore::covers_preloaded(const core::SearchSpace& space,
+                                      const Workload& w) {
+  if (on_consult_) on_consult_();
+  return view_.covers_preloaded(space, w);
+}
+
+int RecordingStore::insert(const core::SearchSpace& space, core::Mfs mfs) {
+  core::Mfs copy = mfs;
+  const int index = view_.insert(space, std::move(mfs));
+  copy.index = index;
+  inserts_.push_back(PoolEntry{std::move(copy), view_.worker()});
+  if (on_insert_) {
+    on_insert_(static_cast<u64>(inserts_.size() - 1), inserts_.back());
   }
-  setup_telemetry(schedule, skipped_cells);
+  return index;
+}
+
+PoolStats RecordingStore::delta() const {
+  PoolStats delta;
+  delta.entries = static_cast<i64>(inserts_.size());
+  delta.hits = view_.hits();
+  delta.cross_worker_hits = view_.cross_worker_hits();
+  delta.warm_hits = view_.warm_hits();
+  delta.duplicate_inserts = view_.duplicate_inserts();
+  return delta;
+}
+
+CellResult execute_cell(const CampaignConfig& config, const CampaignCell& cell,
+                        double start_seconds, RecordingStore& store,
+                        CampaignJournal* progress) {
+  const int worker = store.view().worker();
+  CellResult cr;
+  cr.cell = cell;
+  cr.worker = worker;
+  cr.start_seconds = start_seconds;
+  cr.backend = substrate_of(config);
+  // A cell that throws (bad catalog id, scenario materialization failure,
+  // engine error) must not take the worker thread — and with it the whole
+  // fleet — down.  It is recorded as failed; the report counts it
+  // separately from covered cells.
+  try {
+    const sim::Subsystem sys = cell.materialize();
+    workload::EngineOptions engine_opts = config.engine;
+    // Nothing in the campaign reads per-epoch series; skipping the copy
+    // keeps the probe loop free of per-experiment allocations.  Verdicts,
+    // traces and RNG streams are unaffected.
+    engine_opts.keep_epochs = false;
+    engine_opts.telemetry = obs::ProbeTelemetry(config.telemetry, worker);
+    engine_opts.backend_factory = config.backend_factory.get();
+    engine_opts.backend_context = cell.label();
+    const workload::Engine engine(sys, engine_opts);
+    const core::SearchSpace space(sys);
+    core::SearchDriver driver(engine, space);
+    driver.set_telemetry(obs::ProbeTelemetry(config.telemetry, worker));
+    if (progress != nullptr) {
+      const std::string label = cell.label();
+      driver.set_progress_hook(
+          [progress, label](const core::DriverProgress& p) {
+            progress->driver_state(label, p.to_json());
+          },
+          progress->every());
+    }
+    core::SearchBudget budget = config.budget;
+    budget.seconds = cell.budget_seconds;
+    // The draw a cell sees is a pure function of (campaign_seed, cell
+    // index), never of which worker runs it or in what order.
+    Rng rng = Rng(config.campaign_seed).split(cell.stream);
+
+    if (config.strategy == Strategy::kSimulatedAnnealing) {
+      core::SaConfig sa = config.sa;
+      sa.mode = cell.mode;
+      cr.result = driver.run_simulated_annealing(sa, budget, rng, store);
+    } else {
+      cr.result = driver.run_random(budget, rng, config.sa.use_mfs, store);
+    }
+    cr.cross_worker_skips = store.view().cross_worker_hits();
+    cr.warm_start_skips = store.view().warm_hits();
+  } catch (const std::exception& e) {
+    cr.error = e.what();
+    LOG_WARN << "worker " << worker << " cell " << cell.label()
+             << " failed: " << cr.error;
+    return cr;
+  }
+  LOG_DEBUG << "worker " << worker << " finished cell " << cell.label()
+            << ": " << cr.result.found.size() << " anomalies, "
+            << cr.result.mfs_skips << " skips (" << cr.cross_worker_skips
+            << " cross-worker)";
+  return cr;
+}
+
+// ---- CampaignLedger -------------------------------------------------------
+
+CampaignLedger::CampaignLedger(const CampaignConfig& config)
+    : config_(config), cells_(plan_cells(config)), pool_(config.pool) {
+  pending_ = runnable_cells(config_, cells_);
+  schedule_ = plan_schedule(config_, cells_, pending_);
+  results_.resize(cells_.size());
+  deltas_.resize(cells_.size());
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    // Default attribution (skipped/failed cells never construct an engine).
+    results_[i].backend = substrate_of(config_);
+    if (!pending_[i]) {
+      results_[i].cell = cells_[i];
+      results_[i].skipped = true;
+    }
+  }
 
   if (config_.journal != nullptr) {
     if (config_.resume != nullptr) {
@@ -442,32 +372,34 @@ CampaignResult Campaign::run() {
       config_.journal->resume_marker();
     } else {
       std::vector<std::string> labels;
-      labels.reserve(cells.size());
-      for (const CampaignCell& cell : cells) labels.push_back(cell.label());
-      config_.journal->begin(
-          to_string(config_.share), to_string(config_.strategy),
-          config_.campaign_seed, schedule.workers,
-          config_.backend_factory != nullptr
-              ? config_.backend_factory->substrate()
-              : "sim",
-          schedule_to_json(schedule, labels, budgets));
+      labels.reserve(cells_.size());
+      for (const CampaignCell& cell : cells_) labels.push_back(cell.label());
+      config_.journal->begin(to_string(config_.share),
+                             to_string(config_.strategy),
+                             config_.campaign_seed, schedule_.workers,
+                             substrate_of(config_),
+                             schedule_to_json(schedule_, labels,
+                                              cell_budgets(cells_)));
     }
   }
 
-  ConcurrentMfsPool pool(config_.pool);
-  pool.set_telemetry(config_.telemetry);
+  pool_.set_telemetry(config_.telemetry);
   if (config_.warm_start) {
     for (const auto& [scope, entries] : config_.warm_start->scopes) {
-      pool.load_scope(scope, entries);
+      pool_.load_scope(scope, entries);
     }
   }
   if (config_.resume != nullptr) {
-    // Refill the pool with every completed cell's inserts, origin-preserved
-    // and folded in completion order — the same order the original run
-    // inserted them, so replaying cells observe identical MFS positions and
-    // hit attribution.  Loaded after warm-start scopes, like live inserts.
-    std::map<std::string, const CampaignCell*> by_label;
-    for (const CampaignCell& cell : cells) by_label[cell.label()] = &cell;
+    // Restore every journaled cell_done exactly once: its result verbatim
+    // (plan-side cell identity), its pool delta, and its inserts —
+    // origin-preserved and folded in completion order, the order the
+    // original run inserted them, so re-running cells observe identical
+    // MFS positions and hit attribution.  Cells that were in flight at the
+    // crash stay pending and re-run.
+    std::map<std::string, std::size_t> by_label;
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+      by_label[cells_[i].label()] = i;
+    }
     for (const std::string& label : config_.resume->completion_order) {
       const auto it = by_label.find(label);
       if (it == by_label.end()) {
@@ -476,27 +408,147 @@ CampaignResult Campaign::run() {
             " which is not in this campaign's plan (journal was recorded "
             "against a different plan?)");
       }
-      pool.load_entries(it->second->scope(config_.share),
-                        config_.resume->completed.at(label).inserts);
+      const std::size_t i = it->second;
+      const RestoredCell& rc = config_.resume->completed.at(label);
+      pool_.load_entries(cells_[i].scope(config_.share), rc.inserts);
+      results_[i] = rc.result;
+      results_[i].cell = cells_[i];
+      deltas_[i] = rc.delta;
+      pending_[i] = false;
     }
   }
+}
 
+void CampaignLedger::accept(std::size_t i, CellResult result,
+                            const std::vector<PoolEntry>& inserts,
+                            const PoolStats& delta, u64 lease) {
+  result.cell = cells_[i];
+  if (config_.journal != nullptr) {
+    // Synced: once this frame is durable a resumed campaign restores the
+    // cell instead of re-running (or double-counting) it.
+    config_.journal->cell_done(result, inserts, delta, lease);
+  }
+  results_[i] = std::move(result);
+  deltas_[i] = delta;
+}
+
+CampaignResult CampaignLedger::finish() {
   CampaignResult result;
-  result.workers = schedule.workers;
-  result.schedule = schedule;
+  result.workers = schedule_.workers;
+  result.schedule = schedule_;
   result.share = config_.share;
-  if (config_.backend_factory != nullptr) {
-    result.backend = config_.backend_factory->substrate();
-  }
-  result.cells.resize(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    // Default attribution (skipped/failed cells never construct an engine).
-    result.cells[i].backend = result.backend;
-    if (!runnable[i]) {
-      result.cells[i].cell = cells[i];
-      result.cells[i].skipped = true;
+  result.backend = substrate_of(config_);
+  // The pool supplies what it stores; hit and duplicate observations are
+  // summed from the per-cell deltas (restored cells served theirs before
+  // the crash, and a fleet coordinator's pool never serves a search).
+  const PoolStats stored = pool_.stats();
+  result.pool.entries = stored.entries;
+  result.pool.warm_entries = stored.warm_entries;
+  std::vector<double> worker_elapsed(
+      static_cast<std::size_t>(schedule_.workers), 0.0);
+  for (std::size_t i = 0; i < results_.size(); ++i) {
+    const CellResult& cr = results_[i];
+    result.serial_seconds += cr.result.elapsed_seconds;
+    if (cr.worker >= 0 && cr.worker < schedule_.workers) {
+      worker_elapsed[static_cast<std::size_t>(cr.worker)] +=
+          cr.result.elapsed_seconds;
     }
+    result.pool.hits += deltas_[i].hits;
+    result.pool.cross_worker_hits += deltas_[i].cross_worker_hits;
+    result.pool.warm_hits += deltas_[i].warm_hits;
+    result.pool.duplicate_inserts += deltas_[i].duplicate_inserts;
   }
+  for (const double t : worker_elapsed) {
+    result.makespan_seconds = std::max(result.makespan_seconds, t);
+  }
+  result.pool_scopes = pool_.export_scopes();
+  result.cells = std::move(results_);
+  return result;
+}
+
+// ---- Campaign -------------------------------------------------------------
+
+double Campaign::run_cell(CampaignLedger& ledger, std::size_t i, int worker,
+                          double start_seconds) {
+  obs::Telemetry* tel = config_.telemetry;
+  if (ledger.pending(i)) {
+    const u64 wall_start = tel != nullptr ? obs::now_ticks() : 0;
+    const CampaignCell& cell = ledger.cells()[i];
+    const std::string scope = cell.scope(config_.share);
+    const std::string label = cell.label();
+    ConcurrentMfsPool::View view = ledger.pool().view(scope, worker);
+    CampaignJournal* journal = config_.journal;
+    RecordingStore store(
+        view, journal == nullptr
+                  ? RecordingStore::InsertHook{}
+                  : [journal, &label, &scope](u64, const PoolEntry& e) {
+                      journal->mfs_batch(label, scope, e);
+                    });
+    CellResult cr = execute_cell(config_, cell, start_seconds, store, journal);
+    if (tel != nullptr && worker < static_cast<int>(worker_ids_.size())) {
+      tel->registry().add(
+          worker, worker_ids_[static_cast<std::size_t>(worker)].busy_ns,
+          static_cast<i64>(obs::now_ticks() - wall_start));
+    }
+    // Lease ids start at 1; in-process campaigns use plan index + 1 (the
+    // cell's rng stream index is its plan position).
+    ledger.accept(i, std::move(cr), store.inserts(), store.delta(),
+                  cell.stream + 1);
+  }
+  const CellResult& done = ledger.result(i);
+  if (tel != nullptr) {
+    tel->registry().add(worker,
+                        done.failed() ? cells_failed_ : cells_completed_);
+  }
+  note_cell_drained(worker);
+  return done.result.elapsed_seconds;
+}
+
+void Campaign::setup_telemetry(const Schedule& schedule, i64 skipped_cells) {
+  obs::Telemetry* tel = config_.telemetry;
+  if (tel == nullptr) return;
+  obs::Registry& reg = tel->registry();
+  cells_completed_ = reg.counter("campaign.cells_completed");
+  cells_failed_ = reg.counter("campaign.cells_failed");
+  cells_skipped_ = reg.counter("campaign.cells_skipped");
+  if (skipped_cells > 0) reg.add(0, cells_skipped_, skipped_cells);
+  worker_ids_.clear();
+  const int named = std::min(schedule.workers, kMaxWorkerInstruments);
+  for (int w = 0; w < named; ++w) {
+    WorkerIds ids;
+    ids.busy_ns =
+        reg.counter("campaign.worker." + std::to_string(w) + ".busy_ns");
+    ids.queue_depth =
+        reg.gauge("campaign.worker." + std::to_string(w) + ".queue_depth");
+    worker_ids_.push_back(ids);
+  }
+  for (std::size_t w = 0;
+       w < schedule.queues.size() && w < worker_ids_.size(); ++w) {
+    reg.gauge_set(static_cast<int>(w), worker_ids_[w].queue_depth,
+                  static_cast<i64>(schedule.queues[w].size()));
+  }
+}
+
+void Campaign::note_cell_drained(int worker) {
+  obs::Telemetry* tel = config_.telemetry;
+  if (tel == nullptr || worker < 0 ||
+      worker >= static_cast<int>(worker_ids_.size())) {
+    return;
+  }
+  tel->registry().gauge_add(
+      worker, worker_ids_[static_cast<std::size_t>(worker)].queue_depth, -1);
+}
+
+CampaignResult Campaign::run() {
+  CampaignLedger ledger(config_);
+  const Schedule& schedule = ledger.schedule();
+  const std::size_t n = ledger.cells().size();
+
+  i64 skipped_cells = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (ledger.result(i).skipped) ++skipped_cells;
+  }
+  setup_telemetry(schedule, skipped_cells);
 
   std::size_t queued = 0;
   for (const auto& queue : schedule.queues) queued += queue.size();
@@ -511,13 +563,11 @@ CampaignResult Campaign::run() {
     // with uniform budgets this is exactly plan order (the seed behaviour).
     std::vector<double> timelines(
         static_cast<std::size_t>(schedule.workers), 0.0);
-    const std::vector<int> worker_of = schedule.worker_of(cells.size());
-    for (const std::size_t i : dispatch_order(schedule, budgets)) {
+    const std::vector<int> worker_of = schedule.worker_of(n);
+    for (const std::size_t i :
+         dispatch_order(schedule, cell_budgets(ledger.cells()))) {
       const auto w = static_cast<std::size_t>(worker_of[i]);
-      result.cells[i] = run_cell(static_cast<int>(w), timelines[w], cells[i],
-                                 streams[i], pool);
-      timelines[w] += result.cells[i].result.elapsed_seconds;
-      note_cell_drained(static_cast<int>(w));
+      timelines[w] += run_cell(ledger, i, static_cast<int>(w), timelines[w]);
     }
   } else {
     // One physical thread drains logical queues t, t+fleet, ... — queues
@@ -526,49 +576,20 @@ CampaignResult Campaign::run() {
     std::vector<std::thread> threads;
     threads.reserve(static_cast<std::size_t>(fleet));
     for (int t = 0; t < fleet; ++t) {
-      threads.emplace_back([this, t, fleet, &schedule, &cells, &streams,
-                            &pool, &result] {
+      threads.emplace_back([this, t, fleet, &schedule, &ledger] {
         for (std::size_t w = static_cast<std::size_t>(t);
              w < schedule.queues.size();
              w += static_cast<std::size_t>(fleet)) {
-          run_queue(static_cast<int>(w), schedule.queues[w], cells, streams,
-                    pool, result.cells);
+          double timeline = 0.0;
+          for (const std::size_t i : schedule.queues[w]) {
+            timeline += run_cell(ledger, i, static_cast<int>(w), timeline);
+          }
         }
       });
     }
     for (std::thread& t : threads) t.join();
   }
-
-  // Aggregate the simulated timelines.
-  std::vector<double> worker_elapsed(
-      static_cast<std::size_t>(schedule.workers), 0.0);
-  for (const CellResult& cr : result.cells) {
-    result.serial_seconds += cr.result.elapsed_seconds;
-    if (cr.worker >= 0) {
-      worker_elapsed[static_cast<std::size_t>(cr.worker)] +=
-          cr.result.elapsed_seconds;
-    }
-  }
-  for (const double t : worker_elapsed) {
-    if (t > result.makespan_seconds) result.makespan_seconds = t;
-  }
-  result.pool = pool.stats();
-  if (config_.resume != nullptr) {
-    // The hit counters are live-session counters; completed cells served
-    // their hits before the crash.  Fold each restored cell's journaled
-    // delta back in so the resumed report's pool line matches the
-    // uninterrupted run's.  Entry counts need no reconciliation: stats()
-    // reads the pool's current contents, which include the restored
-    // inserts.
-    for (const auto& [label, rc] : config_.resume->completed) {
-      result.pool.hits += rc.delta.hits;
-      result.pool.cross_worker_hits += rc.delta.cross_worker_hits;
-      result.pool.warm_hits += rc.delta.warm_hits;
-      result.pool.duplicate_inserts += rc.delta.duplicate_inserts;
-    }
-  }
-  result.pool_scopes = pool.export_scopes();
-  return result;
+  return ledger.finish();
 }
 
 i64 CampaignResult::total_cross_worker_skips() const {

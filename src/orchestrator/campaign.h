@@ -22,6 +22,7 @@
 // timeline, and speedup is serial-sum / makespan.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -152,8 +153,8 @@ struct CampaignConfig {
   // Parsed journal of a crashed run (not owned; must outlive run()).  When
   // set, the campaign restores completed cells verbatim from their
   // journaled cell_done records, refills the pool with their inserts in
-  // completion order, and reconciles pool stats — partial cells re-run
-  // through the splice backend's replayed prefix.
+  // completion order, and counts their journaled pool deltas — partial
+  // cells re-run through the splice backend's replayed prefix.
   const JournalResume* resume = nullptr;
   core::SaConfig sa;          // template; mode is overridden per cell
   workload::EngineOptions engine;
@@ -209,48 +210,94 @@ struct CampaignResult {
 
 // ---- Shared cell execution (in-process campaign + fleet workers) ----------
 
-// The slice of CampaignConfig one cell's search needs.  Fleet workers build
-// this from the coordinator's config so a leased cell runs through exactly
-// the code path the in-process campaign uses — that sharing is what makes
-// a fault-free loopback fleet report byte-identical to the in-process one.
-struct CellExecutionOptions {
-  Strategy strategy = Strategy::kSimulatedAnnealing;
-  ShareScope share = ShareScope::kSubsystem;
-  core::SearchBudget budget;  // per-cell seconds overridden by the cell
-  core::SaConfig sa;          // template; mode is overridden per cell
-  workload::EngineOptions engine;
-  workload::BackendFactory* backend_factory = nullptr;  // not owned
-  obs::Telemetry* telemetry = nullptr;                  // not owned
-  // When set, the cell's driver publishes DriverProgress through the
-  // journal on the journal's cadence (observability only).
-  CampaignJournal* journal = nullptr;  // not owned
+// The MfsStore every cell searches against, in-process and on a fleet
+// worker alike: each call forwards to the cell's pool view (so MatchMFS
+// semantics — hit attribution, duplicate accounting, first-cover order —
+// are the view's), and each insert is recorded as a PoolEntry attributed to
+// the view's worker.  Optional hooks observe every insert (the journal's
+// mfs_batch in-process, the MfsBatch send on a fleet worker) and every
+// MatchMFS consult.
+class RecordingStore final : public core::MfsStore {
+ public:
+  using InsertHook = std::function<void(u64 ordinal, const PoolEntry&)>;
+  using ConsultHook = std::function<void()>;
+
+  explicit RecordingStore(ConcurrentMfsPool::View& view,
+                          InsertHook on_insert = {},
+                          ConsultHook on_consult = {});
+
+  bool covers(const core::SearchSpace& space, const Workload& w) override;
+  bool covers_preloaded(const core::SearchSpace& space,
+                        const Workload& w) override;
+  int insert(const core::SearchSpace& space, core::Mfs mfs) override;
+  std::size_t size() const override { return view_.size(); }
+  std::vector<core::Mfs> snapshot() const override {
+    return view_.snapshot();
+  }
+
+  const ConcurrentMfsPool::View& view() const { return view_; }
+  const std::vector<PoolEntry>& inserts() const { return inserts_; }
+  // This cell's slice of the campaign pool line: its inserts plus the
+  // view's hit and duplicate counters.
+  PoolStats delta() const;
+
+ private:
+  ConcurrentMfsPool::View& view_;
+  InsertHook on_insert_;
+  ConsultHook on_consult_;
+  std::vector<PoolEntry> inserts_;
 };
 
-CellExecutionOptions cell_execution_options(const CampaignConfig& config);
+// Run one cell end to end on the view's worker: materialize the subsystem,
+// split the cell's RNG stream off config.campaign_seed, drive the search
+// against `store`, attribute cross-worker / warm-start skips from its view,
+// and catch any std::exception into CellResult::error so a bad cell cannot
+// take its worker down.  Driver progress goes to `progress` when set.
+CellResult execute_cell(const CampaignConfig& config, const CampaignCell& cell,
+                        double start_seconds, RecordingStore& store,
+                        CampaignJournal* progress);
 
-// Run one cell end to end: materialize the subsystem, drive the search
-// against `store` (defaults to `view`; the fleet passes a streaming wrapper
-// that forwards to the view), attribute cross-worker / warm-start skips
-// from the view, and catch any std::exception into CellResult::error so a
-// bad cell cannot take its worker down.
-CellResult execute_cell(const CellExecutionOptions& opts,
-                        const CampaignCell& cell, int worker,
-                        double start_seconds, Rng rng,
-                        ConcurrentMfsPool::View& view,
-                        core::MfsStore* store = nullptr);
+// The campaign's bookkeeping from plan to result, shared by Campaign::run
+// and fleet::Coordinator so the two cannot drift apart.  For a normalized
+// config (Campaign's constructor) it plans the cells and the schedule,
+// journals the begin record (or the resume marker), loads the pool with
+// the warm-start scopes and then every restored cell's inserts in
+// completion order, and fills in skipped and restored cells.  Drivers
+// execute the pending cells and accept() each result; finish() assembles
+// the CampaignResult.
+class CampaignLedger {
+ public:
+  // `config` must outlive the ledger.
+  explicit CampaignLedger(const CampaignConfig& config);
 
-// Warm-start gating: false for cells the checkpoint records as completed.
-// Throws when the checkpoint's sharing policy differs from the config's.
-std::vector<bool> runnable_cells(const CampaignConfig& config,
-                                 const std::vector<CampaignCell>& cells);
+  const std::vector<CampaignCell>& cells() const { return cells_; }
+  const Schedule& schedule() const { return schedule_; }
+  ConcurrentMfsPool& pool() { return pool_; }
+  // True for cells that still need a result: runnable, not restored.
+  bool pending(std::size_t i) const { return pending_[i]; }
+  const CellResult& result(std::size_t i) const { return results_[i]; }
 
-// The realized cell -> logical-worker schedule: a validated replay when
-// config.replay is set, else LPT or round-robin over runnable cells.  The
-// fleet coordinator plans with this exact function so its lease order
-// matches the in-process campaign's dispatch.
-Schedule plan_schedule(const CampaignConfig& config,
-                       const std::vector<CampaignCell>& cells,
-                       const std::vector<bool>& runnable);
+  // Record cell i's final result under the plan's cell identity: journal
+  // it as cell_done (when journaling) and keep the result and its pool
+  // delta at index i.  Distinct cells may be accepted concurrently.
+  void accept(std::size_t i, CellResult result,
+              const std::vector<PoolEntry>& inserts, const PoolStats& delta,
+              u64 lease);
+
+  // Assemble the result: timelines and makespan, pool scopes, and the pool
+  // line — the pool's entries plus the sum of every cell's delta.  Call
+  // once, after every pending cell was accepted.
+  CampaignResult finish();
+
+ private:
+  const CampaignConfig& config_;
+  std::vector<CampaignCell> cells_;
+  Schedule schedule_;
+  ConcurrentMfsPool pool_;
+  std::vector<bool> pending_;
+  std::vector<CellResult> results_;
+  std::vector<PoolStats> deltas_;
+};
 
 class Campaign {
  public:
@@ -270,13 +317,11 @@ class Campaign {
   CampaignResult run();
 
  private:
-  CellResult run_cell(int worker, double start_seconds,
-                      const CampaignCell& cell, Rng rng,
-                      ConcurrentMfsPool& pool);
-  void run_queue(int logical_worker, const std::vector<std::size_t>& queue,
-                 const std::vector<CampaignCell>& cells,
-                 const std::vector<Rng>& streams, ConcurrentMfsPool& pool,
-                 std::vector<CellResult>& out);
+  // Run plan cell i on `worker`'s timeline at `start_seconds` and accept
+  // it into the ledger (a restored cell is only accounted); returns the
+  // cell's simulated elapsed seconds.
+  double run_cell(CampaignLedger& ledger, std::size_t i, int worker,
+                  double start_seconds);
   // Register campaign-level and per-worker instruments for this schedule
   // (no-op without a telemetry sink).  Must run before worker threads start.
   void setup_telemetry(const Schedule& schedule, i64 skipped_cells);

@@ -429,10 +429,10 @@ CampaignCheckpoint journal_to_checkpoint(const JournalResume& resume) {
     ckpt.completed_cells.push_back(label);
   }
   // Partial cells' streamed extractions are knowledge worth keeping even
-  // though the cell never finished — the checkpoint_cell(empty-label)
-  // convention.  A crash during a *resumed* session journals a replayed
-  // insert a second time; the MFS index disambiguates (replay re-inserts at
-  // the same pool position).
+  // though the cell never finished: their scopes carry no completed label.
+  // A crash during a *resumed* session journals a replayed insert a second
+  // time; the MFS index disambiguates (replay re-inserts at the same pool
+  // position).
   for (const auto& [context, pi] : resume.partial_inserts) {
     (void)context;
     std::set<int> seen;
@@ -544,43 +544,6 @@ std::unique_ptr<workload::Backend> SpliceBackendFactory::create(
   return std::make_unique<SpliceBackend>(std::move(inner), substrate(), prefix,
                                          context, journal_, &replayed_,
                                          &live_);
-}
-
-// ---- JournalingStore ------------------------------------------------------
-
-JournalingStore::JournalingStore(ConcurrentMfsPool::View& view,
-                                 CampaignJournal* journal, std::string context,
-                                 std::string scope, int worker)
-    : view_(view),
-      journal_(journal),
-      context_(std::move(context)),
-      scope_(std::move(scope)),
-      worker_(worker) {}
-
-bool JournalingStore::covers(const core::SearchSpace& space,
-                             const Workload& w) {
-  return view_.covers(space, w);
-}
-
-bool JournalingStore::covers_preloaded(const core::SearchSpace& space,
-                                       const Workload& w) {
-  return view_.covers_preloaded(space, w);
-}
-
-int JournalingStore::insert(const core::SearchSpace& space, core::Mfs mfs) {
-  core::Mfs copy = mfs;
-  const int index = view_.insert(space, std::move(mfs));
-  copy.index = index;
-  PoolEntry entry{std::move(copy), worker_};
-  if (journal_ != nullptr) journal_->mfs_batch(context_, scope_, entry);
-  inserts_.push_back(std::move(entry));
-  return index;
-}
-
-std::size_t JournalingStore::size() const { return view_.size(); }
-
-std::vector<core::Mfs> JournalingStore::snapshot() const {
-  return view_.snapshot();
 }
 
 }  // namespace collie::orchestrator

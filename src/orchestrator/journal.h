@@ -291,33 +291,4 @@ class SpliceBackendFactory final : public workload::BackendFactory {
   std::atomic<i64> live_{0};
 };
 
-// ---- MfsStore wrapper that journals every insert --------------------------
-
-// Scoped store handed to a journaling cell's driver: forwards everything to
-// the pool view, journals each insert as an mfs_batch record, and keeps the
-// cell's insert list + stats delta for its cell_done frame (the in-process
-// analogue of the fleet worker's StreamingStore).
-class JournalingStore final : public core::MfsStore {
- public:
-  JournalingStore(ConcurrentMfsPool::View& view, CampaignJournal* journal,
-                  std::string context, std::string scope, int worker);
-
-  bool covers(const core::SearchSpace& space, const Workload& w) override;
-  bool covers_preloaded(const core::SearchSpace& space,
-                        const Workload& w) override;
-  int insert(const core::SearchSpace& space, core::Mfs mfs) override;
-  std::size_t size() const override;
-  std::vector<core::Mfs> snapshot() const override;
-
-  const std::vector<PoolEntry>& inserts() const { return inserts_; }
-
- private:
-  ConcurrentMfsPool::View& view_;
-  CampaignJournal* journal_;
-  std::string context_;
-  std::string scope_;
-  int worker_;
-  std::vector<PoolEntry> inserts_;
-};
-
 }  // namespace collie::orchestrator

@@ -131,11 +131,11 @@ class ConcurrentMfsPool {
     i64 warm_hits() const { return warm_hits_; }
     i64 hits() const { return hits_; }
     // Inserts through this view whose witness was already covered — the
-    // per-cell slice of PoolStats::duplicate_inserts (the campaign journal
-    // needs per-cell attribution, the fleet gets it free from per-lease
-    // local pools).
+    // per-cell slice of PoolStats::duplicate_inserts (the campaign sums
+    // these per-cell slices into its pool line).
     i64 duplicate_inserts() const { return dup_inserts_; }
     const std::string& scope() const { return scope_; }
+    int worker() const { return worker_; }
 
    private:
     const ScopeHandle* handle();

@@ -92,8 +92,10 @@ Engine::Engine(const sim::Subsystem& sys, EngineOptions opts)
   } else {
     backend_ = std::make_unique<SimBackend>(sys_, opts_);
   }
-  if (opts_.devirtualize_sim && backend_->kind() == BackendKind::kSim) {
-    sim_ = static_cast<SimBackend*>(backend_.get());
+  // Devirtualize by dynamic type, never by kind(): a wrapping backend may
+  // report its inner backend's kind without being a SimBackend.
+  if (opts_.devirtualize_sim) {
+    sim_ = dynamic_cast<SimBackend*>(backend_.get());
   }
   if (opts_.telemetry.enabled()) {
     backend_probes_ = opts_.telemetry.telemetry()->registry().counter(

@@ -118,6 +118,56 @@ TEST(Backend, SimBackendIsTheDefault) {
   EXPECT_EQ(engine.backend().substrate(), "sim");
 }
 
+// A wrapper that forwards to a SimBackend and reports the inner kind, the
+// way timing and tracing wrappers do.  The engine must call it through the
+// Backend interface: only a real SimBackend takes the devirtualized path.
+class ForwardingBackend final : public Backend {
+ public:
+  ForwardingBackend(const sim::Subsystem& sys, const EngineOptions& opts,
+                    i64* calls)
+      : inner_(sys, opts), calls_(calls) {}
+  BackendKind kind() const override { return inner_.kind(); }
+  const std::string& substrate() const override { return inner_.substrate(); }
+  void measure(const Workload& w, Rng& rng, sim::EvalScratch& scratch,
+               Measurement& out) override {
+    *calls_ += 1;
+    inner_.measure(w, rng, scratch, out);
+  }
+
+ private:
+  SimBackend inner_;
+  i64* calls_;
+};
+
+class ForwardingFactory final : public BackendFactory {
+ public:
+  BackendKind kind() const override { return BackendKind::kSim; }
+  const std::string& substrate() const override { return sim_.substrate(); }
+  std::unique_ptr<Backend> create(const sim::Subsystem& sys,
+                                  const EngineOptions& opts,
+                                  const std::string&) override {
+    return std::make_unique<ForwardingBackend>(sys, opts, &calls);
+  }
+  i64 calls = 0;
+
+ private:
+  SimBackendFactory sim_;
+};
+
+TEST(Backend, WrapperReportingSimKindSeesEveryMeasure) {
+  ForwardingFactory factory;
+  EngineOptions opts;
+  opts.backend_factory = &factory;
+  const Engine engine(sim::subsystem('F'), opts);
+  EXPECT_EQ(engine.backend().kind(), BackendKind::kSim);
+  Rng rng(11);
+  for (int i = 0; i < 3; ++i) {
+    const Measurement m = engine.run(simple_write(), rng);
+    EXPECT_GT(m.rx_goodput_bps, 0.0);
+  }
+  EXPECT_EQ(factory.calls, 3);
+}
+
 // A small deterministic campaign template every backend test shares: one
 // subsystem-B cell, cell-scoped pool, deterministic execution — the shape
 // journal record/replay requires.

@@ -8,7 +8,9 @@
 
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -20,6 +22,7 @@
 #include "orchestrator/checkpoint.h"
 #include "orchestrator/journal.h"
 #include "sim/subsystem.h"
+#include "workload/backend_mock.h"
 #include "workload/engine.h"
 
 namespace collie::fleet {
@@ -304,9 +307,26 @@ FleetRunOptions patient_options() {
 // ---- Acceptance: fault-free fleet == in-process campaign, byte for byte.
 
 TEST(Fleet, FaultFreeFleetMatchesInProcessCampaignAtAnyWorkerCount) {
+  std::vector<std::pair<std::string, CampaignConfig>> rows;
   for (const int workers : {1, 2, 4}) {
     CampaignConfig config = small_config();
     config.workers = workers;
+    rows.emplace_back(std::to_string(workers) + " workers", config);
+  }
+  {
+    // Warm-started from a stage-1 checkpoint and grown by a seed: stage-1
+    // cells are skipped, except the one whose completion is erased, which
+    // re-runs against its own loaded scope; the new cells run fresh.
+    const CampaignConfig stage1 = small_config();
+    orchestrator::CampaignCheckpoint ck =
+        orchestrator::make_checkpoint(Campaign(stage1).run());
+    ck.completed_cells.erase(ck.completed_cells.begin());
+    CampaignConfig config = stage1;
+    config.seeds_per_cell = 3;
+    config.warm_start = ck;
+    rows.emplace_back("warm-started", config);
+  }
+  for (const auto& [name, config] : rows) {
     const CampaignResult reference = Campaign(config).run();
     const FleetRunResult fleet =
         run_loopback_fleet(config, patient_options());
@@ -314,15 +334,20 @@ TEST(Fleet, FaultFreeFleetMatchesInProcessCampaignAtAnyWorkerCount) {
     // Report, checkpoint, and schedule documents all byte-identical.
     EXPECT_EQ(orchestrator::build_report(fleet.campaign).to_json(),
               orchestrator::build_report(reference).to_json())
-        << workers << " workers";
+        << name;
     EXPECT_EQ(orchestrator::make_checkpoint(fleet.campaign).to_json(),
               orchestrator::make_checkpoint(reference).to_json())
-        << workers << " workers";
-    EXPECT_EQ(fleet.stats.requeues, 0);
-    EXPECT_EQ(fleet.stats.heartbeat_misses, 0);
-    EXPECT_EQ(fleet.stats.stolen, 0);
-    EXPECT_EQ(fleet.stats.leases,
-              static_cast<i64>(reference.cells.size()));
+        << name;
+    EXPECT_EQ(fleet.stats.requeues, 0) << name;
+    EXPECT_EQ(fleet.stats.heartbeat_misses, 0) << name;
+    EXPECT_EQ(fleet.stats.stolen, 0) << name;
+    i64 ran = 0;
+    for (const CellResult& cr : reference.cells) ran += cr.skipped ? 0 : 1;
+    EXPECT_EQ(fleet.stats.leases, ran) << name;
+    if (config.warm_start) {
+      EXPECT_GT(reference.pool.warm_hits, 0);
+      EXPECT_GT(reference.pool.warm_entries, 0);
+    }
   }
 }
 
@@ -453,6 +478,39 @@ TEST(Fleet, IdleWorkerStealsFromSlowWorkerQueue) {
   }
 }
 
+// A worker inside one MatchMFS consult for longer than the heartbeat
+// timeout is busy, not dead: busy heartbeats come from a heartbeat thread,
+// not the probe loop, so a fault-free fleet re-queues nothing and still
+// reports exactly what the in-process campaign does.
+TEST(Fleet, SlowConsultLongerThanHeartbeatTimeoutIsNotADeath) {
+  CampaignConfig config = small_config();
+  config.subsystems = {'B'};
+  config.seeds_per_cell = 1;
+  config.workers = 1;
+  // A healthy scripted substrate finds nothing, so the search stops at its
+  // budget after a few probes — each one behind a slow consult.
+  config.backend_factory = std::make_shared<workload::MockBackendFactory>(
+      [](const Workload&, workload::Measurement& out) {
+        workload::script_measurement(out, gbps(195));
+      });
+  config.budget.seconds = 120.0;
+  const CampaignResult reference = Campaign(config).run();
+  ASSERT_GT(reference.cells.front().result.experiments, 0);
+
+  FleetRunOptions opts = patient_options();
+  opts.coordinator.heartbeat_timeout = milliseconds(300);
+  opts.coordinator.steal = false;
+  opts.slow_worker = 0;
+  opts.slow_probe_us = 600000;  // twice the heartbeat timeout per consult
+  const FleetRunResult fleet = run_loopback_fleet(config, opts);
+
+  EXPECT_EQ(fleet.stats.requeues, 0);
+  EXPECT_EQ(fleet.stats.heartbeat_misses, 0);
+  EXPECT_EQ(fleet.stats.leases, 1);
+  EXPECT_EQ(orchestrator::build_report(fleet.campaign).to_json(),
+            orchestrator::build_report(reference).to_json());
+}
+
 // ---- Acceptance: coordinator journal + resume, zero double-counting.
 
 // The coordinator streams lease events, applied extractions, and reconciled
@@ -526,22 +584,6 @@ TEST(Fleet, CoordinatorJournalResumesByteIdentically) {
   }
   std::remove(path.c_str());
   std::remove(cut_path.c_str());
-}
-
-// checkpoint_cell folds (plan order) reproduce make_checkpoint exactly —
-// the coordinator's incremental mid-run checkpoint is built this way.
-TEST(Checkpoint, PerCellFoldMatchesMakeCheckpoint) {
-  const CampaignResult& result = reference_result();
-  orchestrator::CampaignCheckpoint fold;
-  fold.share = orchestrator::to_string(result.share);
-  for (const CellResult& cr : result.cells) {
-    const std::string scope = cr.cell.scope(result.share);
-    orchestrator::checkpoint_cell(
-        fold,
-        (cr.skipped || !cr.failed()) ? cr.cell.label() : std::string(),
-        scope, result.pool_scopes.at(scope));
-  }
-  EXPECT_EQ(fold.to_json(), orchestrator::make_checkpoint(result).to_json());
 }
 
 }  // namespace

@@ -878,6 +878,42 @@ TEST(CampaignTest, ThreadedSharedCampaignRunsAllCellsConsistently) {
   EXPECT_GE(result.pool.entries, 1);
 }
 
+// Every MatchMFS hit is served through exactly one cell's view, so the pool
+// line's cross-worker and warm hit counters are the sums of the per-cell
+// skip attributions — threaded subsystem sharing and warm starts included.
+TEST(CampaignTest, PoolHitCountersAreTheSumOfPerCellSkips) {
+  const auto expect_sums_match = [](const CampaignResult& result) {
+    i64 cross = 0;
+    i64 warm = 0;
+    for (const CellResult& cr : result.cells) {
+      EXPECT_FALSE(cr.failed()) << cr.cell.label() << ": " << cr.error;
+      cross += cr.cross_worker_skips;
+      warm += cr.warm_start_skips;
+    }
+    EXPECT_EQ(cross, result.pool.cross_worker_hits);
+    EXPECT_EQ(warm, result.pool.warm_hits);
+  };
+
+  CampaignConfig config = small_campaign_config();
+  config.modes = {core::GuidanceMode::kDiag, core::GuidanceMode::kPerf};
+  config.seeds_per_cell = 2;
+  config.workers = 3;
+  config.share = ShareScope::kSubsystem;
+  config.execution = ExecutionMode::kThreads;
+  const CampaignResult shared = Campaign(config).run();
+  expect_sums_match(shared);
+  EXPECT_GT(shared.pool.hits, 0);
+
+  // Warm-started from that run and grown by a seed: the new cells search
+  // with yesterday's regions loaded.
+  CampaignConfig grown = config;
+  grown.seeds_per_cell = 3;
+  grown.warm_start = make_checkpoint(shared);
+  const CampaignResult warm = Campaign(grown).run();
+  expect_sums_match(warm);
+  EXPECT_GT(warm.pool.warm_hits, 0);
+}
+
 TEST(CampaignTest, SpeedupAccountsSimulatedMakespan) {
   CampaignConfig config = small_campaign_config();
   config.subsystems = {'B', 'F'};
