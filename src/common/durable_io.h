@@ -14,12 +14,14 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 #include "common/units.h"
 
 namespace collie::durable_io {
 
-// CRC-32 (IEEE 802.3, reflected 0xEDB88320) of `n` bytes.  `seed` chains
+// CRC-32 (IEEE 802.3, reflected 0xEDB88320) of `n` bytes, computed
+// slicing-by-8 (eight table lookups per eight bytes).  `seed` chains
 // incremental computation: crc32(b, crc32(a)) == crc32(a + b).
 u32 crc32(const void* data, std::size_t n, u32 seed = 0);
 inline u32 crc32(const std::string& s, u32 seed = 0) {
@@ -30,7 +32,7 @@ inline u32 crc32(const std::string& s, u32 seed = 0) {
 // temporary, fsync it, rename over `path`, fsync the directory.  Returns
 // false (with *error set, when given) on any failure; the target is then
 // untouched — the temporary is unlinked best-effort.
-bool atomic_write(const std::string& path, const std::string& content,
+bool atomic_write(const std::string& path, std::string_view content,
                   std::string* error = nullptr);
 
 }  // namespace collie::durable_io

@@ -1,7 +1,9 @@
 #include "core/json_reader.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <string_view>
 
 namespace collie::core {
 namespace {
@@ -32,10 +34,11 @@ const char* type_name(JsonValue::Type t) {
 
 class JsonParser {
  public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
+  explicit JsonParser(std::string_view text) : text_(text) {}
 
   JsonValue parse_document() {
-    JsonValue v = parse_value(0);
+    JsonValue v;
+    parse_value(v, 0);
     skip_ws();
     if (pos_ != text_.size()) fail("trailing garbage", pos_);
     return v;
@@ -74,59 +77,60 @@ class JsonParser {
     return true;
   }
 
-  JsonValue parse_value(int depth) {
+  // Parses into `v` in place — a container's elements are parsed straight
+  // into their slot — so no value is built and then moved.
+  void parse_value(JsonValue& v, int depth) {
     if (depth > kMaxDepth) fail("nesting too deep", pos_);
     skip_ws();
     const char c = peek();
-    JsonValue v;
     switch (c) {
       case '{':
-        return parse_object(depth);
+        return parse_object(v, depth);
       case '[':
-        return parse_array(depth);
+        return parse_array(v, depth);
       case '"':
         v.type_ = JsonValue::Type::kString;
         v.str_ = parse_string();
-        return v;
+        return;
       case 't':
         if (!consume_literal("true")) fail("bad literal", pos_);
         v.type_ = JsonValue::Type::kBool;
         v.bool_ = true;
-        return v;
+        return;
       case 'f':
         if (!consume_literal("false")) fail("bad literal", pos_);
         v.type_ = JsonValue::Type::kBool;
         v.bool_ = false;
-        return v;
+        return;
       case 'n':
         if (!consume_literal("null")) fail("bad literal", pos_);
         v.type_ = JsonValue::Type::kNull;
-        return v;
+        return;
       default:
         if (c == '-' || (c >= '0' && c <= '9')) {
           v.type_ = JsonValue::Type::kNumber;
           v.num_ = parse_number();
-          return v;
+          return;
         }
         fail(std::string("unexpected character '") + c + "'", pos_);
     }
   }
 
-  JsonValue parse_object(int depth) {
-    JsonValue v;
+  void parse_object(JsonValue& v, int depth) {
     v.type_ = JsonValue::Type::kObject;
     expect('{');
     skip_ws();
     if (peek() == '}') {
       ++pos_;
-      return v;
+      return;
     }
     while (true) {
       skip_ws();
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      v.members_.emplace_back(std::move(key), parse_value(depth + 1));
+      v.members_.emplace_back(std::move(key), JsonValue());
+      parse_value(v.members_.back().second, depth + 1);
       skip_ws();
       const char c = peek();
       if (c == ',') {
@@ -135,23 +139,22 @@ class JsonParser {
       }
       if (c == '}') {
         ++pos_;
-        return v;
+        return;
       }
       fail("expected ',' or '}' in object", pos_);
     }
   }
 
-  JsonValue parse_array(int depth) {
-    JsonValue v;
+  void parse_array(JsonValue& v, int depth) {
     v.type_ = JsonValue::Type::kArray;
     expect('[');
     skip_ws();
     if (peek() == ']') {
       ++pos_;
-      return v;
+      return;
     }
     while (true) {
-      v.items_.push_back(parse_value(depth + 1));
+      parse_value(v.items_.emplace_back(), depth + 1);
       skip_ws();
       const char c = peek();
       if (c == ',') {
@@ -160,7 +163,7 @@ class JsonParser {
       }
       if (c == ']') {
         ++pos_;
-        return v;
+        return;
       }
       fail("expected ',' or ']' in array", pos_);
     }
@@ -170,16 +173,20 @@ class JsonParser {
     expect('"');
     std::string out;
     while (true) {
+      // Copy the run of plain characters up to the next quote, escape or
+      // control character in one append.
+      std::size_t end = pos_;
+      while (end < text_.size()) {
+        const auto c = static_cast<unsigned char>(text_[end]);
+        if (c == '"' || c == '\\' || c < 0x20) break;
+        ++end;
+      }
+      out.append(text_.data() + pos_, end - pos_);
+      pos_ = end;
       if (pos_ >= text_.size()) fail("unterminated string", pos_);
       const char c = text_[pos_++];
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("raw control character in string", pos_ - 1);
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') fail("raw control character in string", pos_ - 1);
       if (pos_ >= text_.size()) fail("unterminated escape", pos_);
       const char e = text_[pos_++];
       switch (e) {
@@ -270,18 +277,27 @@ class JsonParser {
       }
       while (pos_ < text_.size() && isdigit_(text_[pos_])) ++pos_;
     }
-    const std::string token = text_.substr(start, pos_ - start);
-    errno = 0;
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) fail("malformed number", start);
+    // The grammar above admits exactly what from_chars parses, so the token
+    // is converted in place.  Out-of-range tokens take strtod's reading:
+    // an underflow is accepted as the zero or subnormal it rounds to, an
+    // overflow is rejected.
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double v = 0.0;
+    const auto [ptr, ec] = std::from_chars(first, last, v);
+    if (ec == std::errc::result_out_of_range) {
+      const std::string token(first, last);
+      v = std::strtod(token.c_str(), nullptr);
+    } else if (ec != std::errc() || ptr != last) {
+      fail("malformed number", start);
+    }
     if (!std::isfinite(v)) fail("number out of range", start);
     return v;
   }
 
   static bool isdigit_(char c) { return c >= '0' && c <= '9'; }
 
-  const std::string& text_;
+  std::string_view text_;
   std::size_t pos_ = 0;
 };
 
@@ -334,16 +350,18 @@ const std::vector<std::pair<std::string, JsonValue>>& JsonValue::members()
   return members_;
 }
 
-const JsonValue* JsonValue::find(const std::string& key) const {
+const JsonValue* JsonValue::find(std::string_view key) const {
   for (const auto& [k, v] : members()) {
     if (k == key) return &v;
   }
   return nullptr;
 }
 
-const JsonValue& JsonValue::at(const std::string& key) const {
+const JsonValue& JsonValue::at(std::string_view key) const {
   const JsonValue* v = find(key);
-  if (v == nullptr) throw JsonError("missing key \"" + key + "\"");
+  if (v == nullptr) {
+    throw JsonError("missing key \"" + std::string(key) + "\"");
+  }
   return *v;
 }
 

@@ -11,6 +11,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -49,10 +50,10 @@ class JsonValue {
   // at()/find() return the first).
   const std::vector<std::pair<std::string, JsonValue>>& members() const;
 
-  bool has(const std::string& key) const { return find(key) != nullptr; }
+  bool has(std::string_view key) const { return find(key) != nullptr; }
   // First member with this key, or nullptr / JsonError for a missing one.
-  const JsonValue* find(const std::string& key) const;
-  const JsonValue& at(const std::string& key) const;
+  const JsonValue* find(std::string_view key) const;
+  const JsonValue& at(std::string_view key) const;
 
  private:
   Type type_ = Type::kNull;

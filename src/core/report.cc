@@ -1,23 +1,70 @@
 #include "core/report.h"
 
+#include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
-#include <iomanip>
+#include <cstdint>
+#include <cstring>
 #include <sstream>
 
 namespace collie::core {
 
-void JsonWriter::maybe_comma() {
-  if (!needs_comma_.empty() && needs_comma_.back()) {
-    out_ += ",";
+namespace {
+
+// The character a JSON escape sequence stands for, or 0 when `c` is written
+// verbatim.
+char escaped(char c) {
+  switch (c) {
+    case '"':
+      return '"';
+    case '\\':
+      return '\\';
+    case '\n':
+      return 'n';
+    case '\t':
+      return 't';
+    default:
+      return 0;
   }
-  if (!needs_comma_.empty()) needs_comma_.back() = true;
+}
+
+void append_escaped(std::string_view s, std::string* out) {
+  std::size_t run = 0;  // start of the pending verbatim run
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char e = escaped(s[i]);
+    if (e == 0) continue;
+    out->append(s.data() + run, i - run);
+    out->push_back('\\');
+    out->push_back(e);
+    run = i + 1;
+  }
+  out->append(s.data() + run, s.size() - run);
+}
+
+bool is_power_of_two_magnitude(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return (bits & ((std::uint64_t{1} << 52) - 1)) == 0;
+}
+
+}  // namespace
+
+void JsonWriter::maybe_comma() {
+  if (needs_comma_.empty()) return;
+  if (needs_comma_.back()) out_.push_back(',');
+  needs_comma_.back() = true;
+}
+
+void JsonWriter::append_quoted(std::string_view s) {
+  out_.push_back('"');
+  append_escaped(s, &out_);
+  out_.push_back('"');
 }
 
 JsonWriter& JsonWriter::begin_object() {
   maybe_comma();
-  out_ += "{";
+  out_.push_back('{');
   needs_comma_.push_back(false);
   return *this;
 }
@@ -25,7 +72,7 @@ JsonWriter& JsonWriter::begin_object() {
 JsonWriter& JsonWriter::end_object() {
   assert(!needs_comma_.empty());
   needs_comma_.pop_back();
-  out_ += "}";
+  out_.push_back('}');
   // The enclosing container has an element now: a following sibling needs a
   // comma.  (key() clears the flag for its value, so without this every
   // sibling after a nested container lost its separator.)
@@ -33,13 +80,13 @@ JsonWriter& JsonWriter::end_object() {
   return *this;
 }
 
-JsonWriter& JsonWriter::begin_array(const std::string& k) {
+JsonWriter& JsonWriter::begin_array(std::string_view k) {
   if (!k.empty()) {
     key(k);
   } else {
     maybe_comma();
   }
-  out_ += "[";
+  out_.push_back('[');
   needs_comma_.push_back(false);
   return *this;
 }
@@ -47,26 +94,23 @@ JsonWriter& JsonWriter::begin_array(const std::string& k) {
 JsonWriter& JsonWriter::end_array() {
   assert(!needs_comma_.empty());
   needs_comma_.pop_back();
-  out_ += "]";
+  out_.push_back(']');
   if (!needs_comma_.empty()) needs_comma_.back() = true;
   return *this;
 }
 
-JsonWriter& JsonWriter::key(const std::string& k) {
+JsonWriter& JsonWriter::key(std::string_view k) {
   maybe_comma();
-  out_ += "\"" + escape(k) + "\":";
+  append_quoted(k);
+  out_.push_back(':');
   if (!needs_comma_.empty()) needs_comma_.back() = false;
   return *this;
 }
 
-JsonWriter& JsonWriter::value(const std::string& v) {
+JsonWriter& JsonWriter::value(std::string_view v) {
   maybe_comma();
-  out_ += "\"" + escape(v) + "\"";
+  append_quoted(v);
   return *this;
-}
-
-JsonWriter& JsonWriter::value(const char* v) {
-  return value(std::string(v));
 }
 
 JsonWriter& JsonWriter::value(double v) {
@@ -79,20 +123,40 @@ JsonWriter& JsonWriter::value(double v) {
   // bounds must reload bit-exact: the default 6-significant-digit printing
   // silently moved warm-start region boundaries (1048576 became 1.04858e+06
   // = 1048580), so workloads at a region's edge were re-probed or masked.
-  std::string s;
-  for (int precision = 6; precision <= 17; ++precision) {
-    std::ostringstream os;
-    os << std::setprecision(precision) << v;
-    s = os.str();
-    if (std::strtod(s.c_str(), nullptr) == v) break;
+  //
+  // The precision is the digit count n of the shortest round-trip form, but
+  // never below 6; printing %g-style at that precision is the smallest
+  // precision >= 6 whose correctly rounded output round-trips.  The one
+  // exception is a power of two: its lower neighbour is twice as close as
+  // its upper one, so the correctly rounded n digits can fall outside the
+  // round-trip interval even though some other n-digit decimal lies inside
+  // it.  Those values are checked and printed one digit longer until they
+  // round-trip.
+  char buf[64];
+  const auto shortest =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::scientific);
+  int digits = 0;
+  for (const char* p = buf; p < shortest.ptr && *p != 'e'; ++p) {
+    digits += (*p >= '0' && *p <= '9') ? 1 : 0;
   }
-  out_ += s;
-  return *this;
+  const bool check = is_power_of_two_magnitude(v);
+  for (int precision = std::max(6, digits);; ++precision) {
+    const auto printed = std::to_chars(buf, buf + sizeof buf, v,
+                                       std::chars_format::general, precision);
+    double back = 0.0;
+    if (check && precision < 17) {
+      std::from_chars(buf, printed.ptr, back);
+      if (back != v) continue;
+    }
+    out_.append(buf, printed.ptr);
+    return *this;
+  }
 }
 
 JsonWriter& JsonWriter::value(i64 v) {
   maybe_comma();
-  out_ += std::to_string(v);
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
   return *this;
 }
 
@@ -102,33 +166,16 @@ JsonWriter& JsonWriter::value(bool v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::raw_value(const std::string& json_text) {
+JsonWriter& JsonWriter::raw_value(std::string_view json_text) {
   maybe_comma();
   out_ += json_text;
   return *this;
 }
 
-std::string JsonWriter::escape(const std::string& s) {
+std::string JsonWriter::escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
+  append_escaped(s, &out);
   return out;
 }
 

@@ -7,6 +7,8 @@
 #pragma once
 
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/search.h"
@@ -19,11 +21,14 @@ class JsonWriter {
  public:
   JsonWriter& begin_object();
   JsonWriter& end_object();
-  JsonWriter& begin_array(const std::string& key = "");
+  JsonWriter& begin_array(std::string_view key = {});
   JsonWriter& end_array();
-  JsonWriter& key(const std::string& k);
-  JsonWriter& value(const std::string& v);
-  JsonWriter& value(const char* v);
+  JsonWriter& key(std::string_view k);
+  JsonWriter& value(std::string_view v);
+  JsonWriter& value(const char* v) { return value(std::string_view(v)); }
+  // Shortest decimal that parses back to the same double, never fewer than
+  // 6 significant digits, in printf %g layout; non-finite values print
+  // null.  DESIGN.md "The persistence format" states the contract.
   JsonWriter& value(double v);
   JsonWriter& value(i64 v);
   JsonWriter& value(int v) { return value(static_cast<i64>(v)); }
@@ -32,19 +37,24 @@ class JsonWriter {
   // other value).  The caller owns its validity — this is how one writer's
   // finished document (a campaign report, a metrics snapshot) embeds in
   // another without re-parsing.
-  JsonWriter& raw_value(const std::string& json_text);
+  JsonWriter& raw_value(std::string_view json_text);
   // key + value in one call.
   template <typename T>
-  JsonWriter& field(const std::string& k, const T& v) {
+  JsonWriter& field(std::string_view k, const T& v) {
     key(k);
     return value(v);
   }
 
-  std::string str() const { return out_; }
-  static std::string escape(const std::string& s);
+  std::string str() const& { return out_; }
+  // Moves the document out (the writer is left empty): large documents
+  // such as a ~1 MB cell_done are handed on without a copy.
+  std::string str() && { return std::move(out_); }
+  static std::string escape(std::string_view s);
 
  private:
   void maybe_comma();
+  // Appends `s` JSON-escaped and quoted.
+  void append_quoted(std::string_view s);
   std::string out_;
   std::vector<bool> needs_comma_;
 };

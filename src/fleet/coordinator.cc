@@ -1,6 +1,7 @@
 #include "fleet/coordinator.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -65,6 +66,7 @@ void Coordinator::grant(int worker, std::size_t cell_index,
   m.scope = ls.scope;
   // Everything already known for this scope: warm-start entries plus every
   // streamed insert — including a dead predecessor's partial extractions.
+  load_unloaded(ls.scope);
   m.preload = ledger_.pool().export_entries(ls.scope);
   send(worker, std::move(m));
 
@@ -91,9 +93,17 @@ void Coordinator::retransmit_lease(int worker, Clock::time_point now) {
   m.cell = ledger_.cells()[ls.cell];
   m.start_seconds = ls.start_seconds;
   m.scope = ls.scope;
+  load_unloaded(ls.scope);
   m.preload = ledger_.pool().export_entries(ls.scope);
   send(worker, std::move(m));
   ws.lease_sent = now;
+}
+
+void Coordinator::load_unloaded(const std::string& scope) {
+  const auto it = unloaded_.find(scope);
+  if (it == unloaded_.end()) return;
+  ledger_.pool().load_entries(scope, std::move(it->second));
+  unloaded_.erase(it);
 }
 
 void Coordinator::apply_inserts(
@@ -132,12 +142,14 @@ void Coordinator::apply_inserts(
                                    ls.scope, e);
       }
     }
-    ledger_.pool().load_entries(ls.scope, std::move(ready));
+    std::vector<orchestrator::PoolEntry>& pending = unloaded_[ls.scope];
+    pending.insert(pending.end(), std::make_move_iterator(ready.begin()),
+                   std::make_move_iterator(ready.end()));
     count(&FleetStats::batches, &obs::FleetIds::batches);
   }
 }
 
-void Coordinator::handle(const Message& m, int from, Clock::time_point now) {
+void Coordinator::handle(Message m, int from, Clock::time_point now) {
   if (from < 0 || from >= static_cast<int>(workers_.size())) return;
   WorkerState& ws = workers_[static_cast<std::size_t>(from)];
   ws.last_heard = now;
@@ -182,14 +194,12 @@ void Coordinator::handle(const Message& m, int from, Clock::time_point now) {
       LeaseState& ls = it->second;
       // Always Ack — even for a duplicate or a revoked (zombie) lease —
       // so the sender stops retransmitting.
-      Message ack;
-      ack.type = MsgType::kAck;
-      ack.lease = m.lease;
-      send(from, std::move(ack));
+      ack(from, m.lease);
       if (ls.accepted || ls.revoked) {
         // Exactly-once acceptance is the zero-double-count guarantee: a
         // zombie's result (its lease was revoked and the cell re-leased)
         // and a retransmitted duplicate are both discarded here.
+        // (drop_settled_cell_done discards most of them unparsed.)
         count(&FleetStats::duplicates, &obs::FleetIds::duplicates);
         break;
       }
@@ -197,7 +207,9 @@ void Coordinator::handle(const Message& m, int from, Clock::time_point now) {
       // carries the complete ordinal-ordered list).
       apply_inserts(ls, 0, m.inserts, /*reconcile=*/true);
       ls.accepted = true;
-      ledger_.accept(ls.cell, m.result, m.inserts, m.pool_delta, m.lease);
+      const double elapsed = m.result.result.elapsed_seconds;
+      ledger_.accept(ls.cell, std::move(m.result), m.inserts, m.pool_delta,
+                     m.lease);
       completed_ += 1;
       if (ls.worker >= 0 &&
           ls.worker < static_cast<int>(workers_.size())) {
@@ -205,7 +217,7 @@ void Coordinator::handle(const Message& m, int from, Clock::time_point now) {
         if (owner.lease == m.lease) {
           owner.busy = false;
           owner.lease = 0;
-          owner.timeline += m.result.result.elapsed_seconds;
+          owner.timeline += elapsed;
         }
       }
       LOG_DEBUG << "fleet: accepted cell " << ledger_.cells()[ls.cell].label()
@@ -217,6 +229,28 @@ void Coordinator::handle(const Message& m, int from, Clock::time_point now) {
     case MsgType::kAck:
       break;  // coordinator-originated types; ignore echoes
   }
+}
+
+void Coordinator::ack(int to, u64 lease) {
+  Message m;
+  m.type = MsgType::kAck;
+  m.lease = lease;
+  send(to, std::move(m));
+}
+
+bool Coordinator::drop_settled_cell_done(const std::string& payload, int from,
+                                         Clock::time_point now) {
+  if (from < 0 || from >= static_cast<int>(workers_.size())) return false;
+  const std::optional<MessageHeader> header = peek_header(payload);
+  if (!header || header->type != MsgType::kCellDone) return false;
+  const auto it = leases_.find(header->lease);
+  if (it == leases_.end() || !(it->second.accepted || it->second.revoked)) {
+    return false;
+  }
+  workers_[static_cast<std::size_t>(from)].last_heard = now;
+  ack(from, header->lease);
+  count(&FleetStats::duplicates, &obs::FleetIds::duplicates);
+  return true;
 }
 
 void Coordinator::check_deaths(Clock::time_point now) {
@@ -316,7 +350,8 @@ orchestrator::CampaignResult Coordinator::run(Transport* transport) {
     if (status == RecvStatus::kClosed) {
       throw std::runtime_error("fleet transport closed mid-campaign");
     }
-    if (status == RecvStatus::kMessage) {
+    if (status == RecvStatus::kMessage &&
+        !drop_settled_cell_done(payload, from, now)) {
       try {
         handle(Message::from_json(payload), from, now);
       } catch (const core::JsonError& e) {
@@ -345,6 +380,7 @@ orchestrator::CampaignResult Coordinator::run(Transport* transport) {
     send(static_cast<int>(w), std::move(bye));
   }
 
+  while (!unloaded_.empty()) load_unloaded(unloaded_.begin()->first);
   return ledger_.finish();
 }
 

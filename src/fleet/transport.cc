@@ -1,6 +1,7 @@
 #include "fleet/transport.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace collie::fleet {
 
@@ -68,9 +69,11 @@ bool LoopbackTransport::send(int from, int to, std::string payload) {
   {
     std::lock_guard<std::mutex> lock(mb->mu);
     if (mb->closed) return false;
-    for (int c = 0; c < copies; ++c) {
+    // Copies for the duplicates; the payload itself moves into the last.
+    for (int c = 1; c < copies; ++c) {
       mb->queue.push_back(Pending{from, payload, deliver_at});
     }
+    mb->queue.push_back(Pending{from, std::move(payload), deliver_at});
   }
   mb->cv.notify_all();
   return true;

@@ -1,5 +1,6 @@
 #include "fleet/worker.h"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <functional>
@@ -15,6 +16,10 @@ namespace collie::fleet {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+// Ceiling of the CellDone retransmit backoff (unless
+// WorkerOptions::retransmit starts above it).
+constexpr std::chrono::milliseconds kMaxRetransmit{1000};
 
 // Injected worker death.  Deliberately NOT derived from std::exception:
 // execute_cell converts std::exceptions into failed-cell results, but a
@@ -137,6 +142,48 @@ void FleetWorker::run_lease(const Message& lease) {
   transport_->send(id_, kCoordinatorId, done_payload_);
   done_acked_ = false;
   done_sent_ = Clock::now();
+  done_backoff_ = opts_.retransmit;
+}
+
+void FleetWorker::retransmit_if_due(Clock::time_point now) {
+  if (done_acked_ || now - done_sent_ < done_backoff_) return;
+  transport_->send(id_, kCoordinatorId, done_payload_);
+  done_sent_ = now;
+  done_backoff_ = std::min(2 * done_backoff_,
+                           std::max(kMaxRetransmit, opts_.retransmit));
+}
+
+bool FleetWorker::handle(const std::string& payload) {
+  Message m;
+  try {
+    m = Message::from_json(payload);
+  } catch (const core::JsonError& e) {
+    // A garbled payload is a transport problem, not a worker problem:
+    // log and keep serving (the fuzz tests drive exactly this path).
+    LOG_WARN << "worker " << id_ << " dropped bad message: " << e.what();
+    return true;
+  }
+  switch (m.type) {
+    case MsgType::kAck:
+      if (m.lease == done_lease_) done_acked_ = true;
+      break;
+    case MsgType::kLeaseCell:
+      if (m.shutdown) return false;
+      // A re-announced lease we already finished means the coordinator has
+      // not seen our CellDone yet.  The copy may still be in flight, so
+      // the retransmit timer resends it, not the re-announce.
+      if (m.lease == done_lease_) break;
+      // A fresh lease implies the previous CellDone was accepted (the
+      // coordinator only leases to idle workers).
+      done_acked_ = true;
+      run_lease(m);
+      break;
+    case MsgType::kCellDone:
+    case MsgType::kMfsBatch:
+    case MsgType::kHeartbeat:
+      break;  // not addressed to workers; ignore
+  }
+  return true;
 }
 
 void FleetWorker::run() {
@@ -148,47 +195,12 @@ void FleetWorker::run() {
       const RecvStatus status =
           transport_->recv(id_, &from, &payload, opts_.heartbeat_interval);
       if (status == RecvStatus::kClosed) return;
-      const auto now = Clock::now();
       if (status == RecvStatus::kTimeout) {
-        if (!done_acked_ && now - done_sent_ >= opts_.retransmit) {
-          transport_->send(id_, kCoordinatorId, done_payload_);
-          done_sent_ = now;
-        }
         heartbeat(0, 0);
-        continue;
+      } else if (!handle(payload)) {
+        return;
       }
-      Message m;
-      try {
-        m = Message::from_json(payload);
-      } catch (const core::JsonError& e) {
-        // A garbled payload is a transport problem, not a worker problem:
-        // log and keep serving (the fuzz tests drive exactly this path).
-        LOG_WARN << "worker " << id_ << " dropped bad message: " << e.what();
-        continue;
-      }
-      switch (m.type) {
-        case MsgType::kAck:
-          if (m.lease == done_lease_) done_acked_ = true;
-          break;
-        case MsgType::kLeaseCell:
-          if (m.shutdown) return;
-          if (m.lease == done_lease_) {
-            // The coordinator re-announced a lease we already finished: it
-            // never saw our CellDone.  Resend instead of re-running.
-            transport_->send(id_, kCoordinatorId, done_payload_);
-            done_sent_ = now;
-            break;
-          }
-          // A fresh lease implies the previous CellDone was accepted (the
-          // coordinator only leases to idle workers).
-          done_acked_ = true;
-          run_lease(m);
-          break;
-        case MsgType::kCellDone:
-        case MsgType::kMfsBatch:
-        case MsgType::kHeartbeat:
-          break;  // not addressed to workers; ignore
-      }
+      retransmit_if_due(Clock::now());
     }
   } catch (const Killed&) {
     LOG_INFO << "worker " << id_ << " killed (injected fault)";

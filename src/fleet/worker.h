@@ -5,7 +5,8 @@
 // campaign uses (same RNG split, same engine options, same RecordingStore
 // over a worker-local pool preloaded from the lease), streams every fresh
 // MFS extraction back as an ordinal-numbered MfsBatch, and reports the
-// finished cell as a CellDone it retransmits until the coordinator Acks.
+// finished cell as a CellDone it retransmits until the coordinator Acks,
+// backing off exponentially from WorkerOptions::retransmit to a fixed cap.
 // The message loop heartbeats while idle; while a lease runs, a heartbeat
 // thread beats on the same cadence until the CellDone is on the wire, so a
 // dead worker is one that went silent — not one stuck in a slow probe or
@@ -31,7 +32,8 @@ namespace collie::fleet {
 struct WorkerOptions {
   // Heartbeat cadence, idle and busy alike.
   std::chrono::milliseconds heartbeat_interval{20};
-  // Unacked CellDone retransmit cadence.
+  // First unacked CellDone retransmit delay; each retransmit doubles it,
+  // up to a fixed cap.
   std::chrono::milliseconds retransmit{50};
   // Fault injection: die silently while running the cell with this label.
   std::string kill_at_cell;
@@ -59,6 +61,10 @@ class FleetWorker {
   void send(Message m);
   // Execute a lease end to end (blocking) and stage the CellDone.
   void run_lease(const Message& lease);
+  // One coordinator message; false on a shutdown lease.
+  bool handle(const std::string& payload);
+  // Resend the unacked CellDone once its backoff has elapsed.
+  void retransmit_if_due(std::chrono::steady_clock::time_point now);
 
   int id_;
   const orchestrator::CampaignConfig& config_;
@@ -66,12 +72,13 @@ class FleetWorker {
   WorkerOptions opts_;
   std::atomic<u64> seq_{0};
 
-  // The last completed lease and its CellDone payload, retransmitted until
-  // the coordinator Acks (or re-announces the lease).
+  // The last completed lease and its CellDone payload, retransmitted with
+  // exponential backoff until the coordinator Acks.
   u64 done_lease_ = 0;
   std::string done_payload_;
   bool done_acked_ = true;
   std::chrono::steady_clock::time_point done_sent_{};
+  std::chrono::milliseconds done_backoff_{0};
 };
 
 }  // namespace collie::fleet

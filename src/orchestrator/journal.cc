@@ -1,11 +1,14 @@
 #include "orchestrator/journal.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
 #include <set>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/durable_io.h"
 #include "core/serialize.h"
@@ -128,16 +131,28 @@ void JournalWriter::sync() {
 
 JournalRecovery recover_journal(const std::string& path, bool repair) {
   JournalRecovery r;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return r;  // no file: a fresh journal, nothing to recover
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return r;  // no file: a fresh journal, nothing to recover
   r.existed = true;
 
+  // One buffer of exactly the file's size: recovery holds the file once
+  // plus the payloads it hands back.
   std::string data;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) data.append(buf, n);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
+  struct stat st {};
+  bool read_error = ::fstat(fd, &st) != 0;
+  if (!read_error) {
+    data.resize(static_cast<std::size_t>(st.st_size));
+    std::size_t got = 0;
+    while (got < data.size()) {
+      const ssize_t n = ::read(fd, data.data() + got, data.size() - got);
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0) read_error = true;
+      if (n <= 0) break;
+      got += static_cast<std::size_t>(n);
+    }
+    data.resize(got);
+  }
+  ::close(fd);
   if (read_error) {
     r.error = "cannot read journal '" + path + "'";
     return r;
@@ -173,10 +188,10 @@ JournalRecovery recover_journal(const std::string& path, bool repair) {
   r.torn = r.valid_bytes < r.total_bytes;
 
   if (repair && r.torn) {
-    const std::string suffix = data.substr(r.valid_bytes);
     const std::string torn_path = path + ".torn";
     std::string werr;
-    if (!durable_io::atomic_write(torn_path, suffix, &werr)) {
+    if (!durable_io::atomic_write(
+            torn_path, std::string_view(data).substr(r.valid_bytes), &werr)) {
       r.error = "cannot quarantine torn journal suffix: " + werr;
       return r;
     }
@@ -216,8 +231,9 @@ void CampaignJournal::begin(const std::string& share,
   json.field("backend", backend);
   json.field("schedule", schedule_json);
   json.end_object();
+  const std::string payload = std::move(json).str();
   std::lock_guard<std::mutex> lock(mu_);
-  append_locked(json.str());
+  append_locked(payload);
   writer_.sync();
 }
 
@@ -241,9 +257,11 @@ void CampaignJournal::probe(const std::string& context, const Workload& w,
   json.key("rng_after");
   core::rng_state_to_json(rng_after, &json);
   json.end_object();
+  // Build the record outside the lock; only the append holds it.
+  const std::string payload = std::move(json).str();
 
   std::lock_guard<std::mutex> lock(mu_);
-  append_locked(json.str());
+  append_locked(payload);
   ++probes_;
   if (++since_sync_ >= every_) {
     writer_.sync();
@@ -264,8 +282,9 @@ void CampaignJournal::driver_state(const std::string& context,
   json.key("state");
   json.raw_value(state_json);
   json.end_object();
+  const std::string payload = std::move(json).str();
   std::lock_guard<std::mutex> lock(mu_);
-  append_locked(json.str());
+  append_locked(payload);
 }
 
 void CampaignJournal::mfs_batch(const std::string& context,
@@ -279,8 +298,9 @@ void CampaignJournal::mfs_batch(const std::string& context,
   json.key("entry");
   pool_entry_to_json(entry, &json);
   json.end_object();
+  const std::string payload = std::move(json).str();
   std::lock_guard<std::mutex> lock(mu_);
-  append_locked(json.str());
+  append_locked(payload);
   writer_.sync();
 }
 
@@ -311,8 +331,9 @@ void CampaignJournal::event(const std::string& what, const std::string& cell,
   json.field("worker", worker);
   json.field("lease", static_cast<i64>(lease));
   json.end_object();
+  const std::string payload = std::move(json).str();
   std::lock_guard<std::mutex> lock(mu_);
-  append_locked(json.str());
+  append_locked(payload);
   writer_.sync();
 }
 

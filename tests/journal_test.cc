@@ -7,14 +7,17 @@
 //     recovers without error to a frame prefix of the original (the
 //     structural invariant mid-cell resume is built on), targeted garbles
 //     and random byte flips quarantine the damaged suffix instead of
-//     trusting it, and a repaired journal accepts appends;
+//     trusting it, and a repaired journal accepts appends; recovery
+//     matches the chunked reader it replaced at sizes around its chunk;
 //   * parse_journal reconstructs resumable state from the two record
 //     vocabularies and rejects unknown shapes loudly — including truncated,
 //     targeted and random garbles of a real probe record's payload;
 //   * DriverProgress / BoProgress survive their JSON round trips.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -265,6 +268,133 @@ TEST(JournalFrames, RepairQuarantinesTornSuffixAndAcceptsAppends) {
   EXPECT_EQ(r2.payloads.back(), "appended-after-repair");
   std::remove(path.c_str());
   std::remove((path + ".torn").c_str());
+}
+
+// recover_journal before the single-buffer read, as the reference: the file
+// appended to a growing string in 64 KiB chunks, frames checked with the
+// bytewise CRC, the torn suffix cut off the buffer.
+struct ReferenceRecovery {
+  std::vector<std::string> payloads;
+  u64 valid_bytes = 0;
+  std::string torn_suffix;
+};
+
+ReferenceRecovery reference_recover(const std::string& path) {
+  static const std::array<u32, 256> table = [] {
+    std::array<u32, 256> t{};
+    for (u32 i = 0; i < 256; ++i) {
+      u32 c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  auto crc = [](const char* data, std::size_t n) {
+    u32 c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+      c = table[(c ^ static_cast<unsigned char>(data[i])) & 0xFFu] ^ (c >> 8);
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  auto u32le = [](const char* p) {
+    const auto* b = reinterpret_cast<const unsigned char*>(p);
+    return static_cast<u32>(b[0]) | (static_cast<u32>(b[1]) << 8) |
+           (static_cast<u32>(b[2]) << 16) | (static_cast<u32>(b[3]) << 24);
+  };
+  std::string data;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  char buf[1 << 16];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) data.append(buf, n);
+  std::fclose(f);
+
+  ReferenceRecovery r;
+  std::size_t off = 0;
+  if (data.size() >= kJournalMagicSize &&
+      std::memcmp(data.data(), kJournalMagic, kJournalMagicSize) == 0) {
+    off = kJournalMagicSize;
+    while (off + 8 <= data.size()) {
+      const u64 len = u32le(data.data() + off);
+      if (len > data.size() - off - 8) break;
+      if (u32le(data.data() + off + 4) !=
+          crc(data.data() + off + 8, static_cast<std::size_t>(len))) {
+        break;
+      }
+      r.payloads.emplace_back(data.data() + off + 8,
+                              static_cast<std::size_t>(len));
+      off += 8 + len;
+    }
+  }
+  r.valid_bytes = off;
+  r.torn_suffix = data.substr(off);
+  return r;
+}
+
+// Journals whose sizes straddle the old 64 KiB read chunk — one byte short
+// of it, exactly one or three chunks, a few bytes past — recover to the
+// same payloads, the same valid prefix and the same quarantined bytes as
+// the chunked reader, intact and with a torn tail (a frame cut short or
+// garbage appended), with and without repair.
+TEST(JournalFrames, RecoveryMatchesTheChunkedReaderAtOddSizes) {
+  constexpr std::size_t kChunk = 1 << 16;
+  const std::string path = tmp_path("sizes.journal");
+  const std::string work = tmp_path("sizes-work.journal");
+  Rng rng(97);
+  for (const std::size_t size :
+       {kChunk - 1, kChunk, kChunk + 1, 3 * kChunk, 3 * kChunk + 17,
+        5 * kChunk + 4099}) {
+    std::remove(path.c_str());
+    {
+      JournalWriter writer(path);
+      std::size_t at = kJournalMagicSize;
+      while (at < size) {
+        // Payloads of 1..3000 bytes, the last one sized to end the file at
+        // exactly `size` bytes.
+        std::size_t len = static_cast<std::size_t>(rng.uniform_int(1, 3000));
+        if (at + 8 + len + 8 + 1 > size) len = size - at - 8;
+        std::string payload(len, ' ');
+        for (char& c : payload) c = static_cast<char>(rng.uniform_int(0, 255));
+        writer.append(payload);
+        at += 8 + len;
+      }
+      writer.sync();
+    }
+    const std::string bytes = read_file(path);
+    ASSERT_EQ(bytes.size(), size);
+    const std::vector<std::pair<std::string, std::string>> variants = {
+        {"intact", bytes},
+        {"cut mid-frame", bytes.substr(0, bytes.size() - 5)},
+        {"cut 3000 bytes short", bytes.substr(0, bytes.size() - 3000)},
+        {"garbage tail", bytes + std::string(37, '\x5a')}};
+    for (const auto& [name, content] : variants) {
+      const std::string what = std::to_string(size) + " bytes, " + name;
+      write_file(work, content);
+      const ReferenceRecovery want = reference_recover(work);
+      const JournalRecovery got = recover_journal(work, /*repair=*/false);
+      EXPECT_TRUE(got.error.empty()) << what << ": " << got.error;
+      EXPECT_EQ(got.payloads, want.payloads) << what;
+      EXPECT_EQ(got.valid_bytes, want.valid_bytes) << what;
+      EXPECT_EQ(got.total_bytes, content.size()) << what;
+      EXPECT_EQ(got.torn, !want.torn_suffix.empty()) << what;
+
+      std::remove((work + ".torn").c_str());
+      const JournalRecovery repaired = recover_journal(work, /*repair=*/true);
+      EXPECT_TRUE(repaired.error.empty()) << what << ": " << repaired.error;
+      EXPECT_EQ(repaired.payloads, want.payloads) << what;
+      EXPECT_EQ(read_file(work), content.substr(0, want.valid_bytes)) << what;
+      if (want.torn_suffix.empty()) {
+        EXPECT_TRUE(repaired.torn_path.empty()) << what;
+      } else {
+        ASSERT_EQ(repaired.torn_path, work + ".torn") << what;
+        EXPECT_EQ(read_file(repaired.torn_path), want.torn_suffix) << what;
+      }
+    }
+  }
+  std::remove(path.c_str());
+  std::remove(work.c_str());
+  std::remove((work + ".torn").c_str());
 }
 
 TEST(JournalFrames, RandomByteFlipsNeverMisbehave) {
