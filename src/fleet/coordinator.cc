@@ -1,7 +1,6 @@
 #include "fleet/coordinator.h"
 
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -64,10 +63,7 @@ void Coordinator::grant(int worker, std::size_t cell_index,
   m.cell = cell;
   m.start_seconds = ls.start_seconds;
   m.scope = ls.scope;
-  // Everything already known for this scope: warm-start entries plus every
-  // streamed insert — including a dead predecessor's partial extractions.
-  load_unloaded(ls.scope);
-  m.preload = ledger_.pool().export_entries(ls.scope);
+  m.preload = preload(ls.scope);
   send(worker, std::move(m));
 
   ws.busy = true;
@@ -93,8 +89,7 @@ void Coordinator::retransmit_lease(int worker, Clock::time_point now) {
   m.cell = ledger_.cells()[ls.cell];
   m.start_seconds = ls.start_seconds;
   m.scope = ls.scope;
-  load_unloaded(ls.scope);
-  m.preload = ledger_.pool().export_entries(ls.scope);
+  m.preload = preload(ls.scope);
   send(worker, std::move(m));
   ws.lease_sent = now;
 }
@@ -104,6 +99,12 @@ void Coordinator::load_unloaded(const std::string& scope) {
   if (it == unloaded_.end()) return;
   ledger_.pool().load_entries(scope, std::move(it->second));
   unloaded_.erase(it);
+}
+
+std::vector<orchestrator::PoolEntry> Coordinator::preload(
+    const std::string& scope) {
+  load_unloaded(scope);
+  return ledger_.pool().export_entries(scope);
 }
 
 void Coordinator::apply_inserts(
@@ -194,18 +195,23 @@ void Coordinator::handle(Message m, int from, Clock::time_point now) {
       LeaseState& ls = it->second;
       // Always Ack — even for a duplicate or a revoked (zombie) lease —
       // so the sender stops retransmitting.
-      ack(from, m.lease);
+      Message ack;
+      ack.type = MsgType::kAck;
+      ack.lease = m.lease;
+      send(from, std::move(ack));
       if (ls.accepted || ls.revoked) {
         // Exactly-once acceptance is the zero-double-count guarantee: a
         // zombie's result (its lease was revoked and the cell re-leased)
         // and a retransmitted duplicate are both discarded here.
-        // (drop_settled_cell_done discards most of them unparsed.)
         count(&FleetStats::duplicates, &obs::FleetIds::duplicates);
         break;
       }
       // Reconcile inserts any dropped batch never delivered (the CellDone
       // carries the complete ordinal-ordered list).
       apply_inserts(ls, 0, m.inserts, /*reconcile=*/true);
+      // The cell's inserts are complete: publish them now, while the other
+      // workers run, rather than all at once at the end of the campaign.
+      load_unloaded(ls.scope);
       ls.accepted = true;
       const double elapsed = m.result.result.elapsed_seconds;
       ledger_.accept(ls.cell, std::move(m.result), m.inserts, m.pool_delta,
@@ -229,28 +235,6 @@ void Coordinator::handle(Message m, int from, Clock::time_point now) {
     case MsgType::kAck:
       break;  // coordinator-originated types; ignore echoes
   }
-}
-
-void Coordinator::ack(int to, u64 lease) {
-  Message m;
-  m.type = MsgType::kAck;
-  m.lease = lease;
-  send(to, std::move(m));
-}
-
-bool Coordinator::drop_settled_cell_done(const std::string& payload, int from,
-                                         Clock::time_point now) {
-  if (from < 0 || from >= static_cast<int>(workers_.size())) return false;
-  const std::optional<MessageHeader> header = peek_header(payload);
-  if (!header || header->type != MsgType::kCellDone) return false;
-  const auto it = leases_.find(header->lease);
-  if (it == leases_.end() || !(it->second.accepted || it->second.revoked)) {
-    return false;
-  }
-  workers_[static_cast<std::size_t>(from)].last_heard = now;
-  ack(from, header->lease);
-  count(&FleetStats::duplicates, &obs::FleetIds::duplicates);
-  return true;
 }
 
 void Coordinator::check_deaths(Clock::time_point now) {
@@ -350,8 +334,7 @@ orchestrator::CampaignResult Coordinator::run(Transport* transport) {
     if (status == RecvStatus::kClosed) {
       throw std::runtime_error("fleet transport closed mid-campaign");
     }
-    if (status == RecvStatus::kMessage &&
-        !drop_settled_cell_done(payload, from, now)) {
+    if (status == RecvStatus::kMessage) {
       try {
         handle(Message::from_json(payload), from, now);
       } catch (const core::JsonError& e) {

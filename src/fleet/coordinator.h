@@ -18,9 +18,7 @@
 //    skips every region the dead worker already explained.  A CellDone
 //    arriving later under a revoked lease is Acked (to silence the zombie)
 //    and discarded — a cell's probes are counted exactly once, from exactly
-//    one accepted CellDone.  Such a CellDone is recognised from its leading
-//    type/lease members and never parsed: retransmitted copies of a ~1 MB
-//    document cost the coordinator an ack, not a parse.
+//    one accepted CellDone.
 //  - Reconnect: a dead worker that resumes idle heartbeats is re-admitted
 //    after an exponential backoff (reconnect_backoff * 2^deaths).
 //  - Loss: every message may be dropped, delayed, or duplicated.  Leases
@@ -126,13 +124,6 @@ class Coordinator {
   };
 
   void send(int to, Message m);
-  void ack(int to, u64 lease);
-  // Ack and count a CellDone for an already accepted or revoked lease from
-  // its header alone (peek_header), without parsing its body.  False —
-  // leaving the payload to the full parse — for every other payload,
-  // including a header laid out differently from Message::to_json.
-  bool drop_settled_cell_done(const std::string& payload, int from,
-                              Clock::time_point now);
   void grant(int worker, std::size_t cell_index, Clock::time_point now);
   void retransmit_lease(int worker, Clock::time_point now);
   void handle(Message m, int from, Clock::time_point now);
@@ -141,7 +132,12 @@ class Coordinator {
   void apply_inserts(LeaseState& ls, u64 first_ordinal,
                      const std::vector<orchestrator::PoolEntry>& entries,
                      bool reconcile = false);
-  // Load a scope's applied-but-unloaded inserts into the ledger's pool.
+  // Everything already known for `scope`, for a lease: warm-start entries
+  // plus every streamed insert — including a dead predecessor's partial
+  // extractions.  Loads the scope's unloaded_ inserts into the pool first;
+  // only this and the end of run() read the coordinator's pool.
+  std::vector<orchestrator::PoolEntry> preload(const std::string& scope);
+  // Moves a scope's unloaded_ inserts into the ledger's pool.
   void load_unloaded(const std::string& scope);
   void check_deaths(Clock::time_point now);
   void assign_work(Clock::time_point now);
@@ -157,9 +153,9 @@ class Coordinator {
   std::map<u64, LeaseState> leases_;
   std::deque<std::size_t> orphans_;  // re-queued cells, served first
   // Applied inserts not yet in the ledger's pool, per scope, in order.  The
-  // coordinator's pool never serves a search, so it is only loaded when
-  // read — before a lease exports its preload and before the result is
-  // assembled — with one publish per scope instead of one per batch.
+  // coordinator's pool never serves a search, so it is loaded once per
+  // accepted CellDone and whenever it is read — by preload() and before the
+  // result is assembled — instead of one copy-on-write publish per batch.
   std::map<std::string, std::vector<orchestrator::PoolEntry>> unloaded_;
   std::size_t completed_ = 0;
   std::size_t target_ = 0;

@@ -1,6 +1,5 @@
 #include "fleet/messages.h"
 
-#include <charconv>
 #include <utility>
 
 #include "core/serialize.h"
@@ -12,25 +11,6 @@ namespace {
 using core::JsonError;
 using core::JsonValue;
 using core::JsonWriter;
-
-// Reads `"<name>":<integer>` followed by `,` or `}` off the front of
-// `text`; false (text unspecified) on any other layout.
-bool take_int_member(std::string_view* text, std::string_view name,
-                     i64* out) {
-  if (text->size() < name.size() + 3 || (*text)[0] != '"' ||
-      text->substr(1, name.size()) != name ||
-      text->substr(1 + name.size(), 2) != "\":") {
-    return false;
-  }
-  text->remove_prefix(name.size() + 3);
-  const char* end = text->data() + text->size();
-  const auto [ptr, ec] = std::from_chars(text->data(), end, *out);
-  if (ec != std::errc() || ptr == end || (*ptr != ',' && *ptr != '}')) {
-    return false;
-  }
-  text->remove_prefix(static_cast<std::size_t>(ptr - text->data()) + 1);
-  return true;
-}
 
 void pool_entry_to_json(const orchestrator::PoolEntry& e, JsonWriter* json) {
   json->begin_object();
@@ -292,31 +272,6 @@ std::string Message::to_json() const {
   }
   json.end_object();
   return std::move(json).str();
-}
-
-std::optional<MessageHeader> peek_header(std::string_view text) {
-  constexpr std::string_view kType = "{\"type\":\"";
-  if (!text.starts_with(kType)) return std::nullopt;
-  text.remove_prefix(kType.size());
-  const std::size_t quote = text.substr(0, 16).find('"');
-  if (quote == std::string_view::npos || text.substr(quote, 2) != "\",") {
-    return std::nullopt;
-  }
-  MessageHeader h;
-  try {
-    h.type = msg_type_from_string(std::string(text.substr(0, quote)));
-  } catch (const JsonError&) {
-    return std::nullopt;
-  }
-  text.remove_prefix(quote + 2);
-  i64 sender = 0, seq = 0, lease = 0;
-  if (!take_int_member(&text, "sender", &sender) ||
-      !take_int_member(&text, "seq", &seq) ||
-      !take_int_member(&text, "lease", &lease) || seq < 0 || lease < 0) {
-    return std::nullopt;
-  }
-  h.lease = static_cast<u64>(lease);
-  return h;
 }
 
 Message Message::from_json(const std::string& text) {

@@ -19,9 +19,7 @@
 //                           Heartbeat (liveness + progress)
 #pragma once
 
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "orchestrator/campaign.h"
@@ -87,18 +85,6 @@ struct Message {
   // Strict parse; throws core::JsonError on any malformed document.
   static Message from_json(const std::string& text);
 };
-
-// The leading members of a message.  Message::to_json writes type, sender,
-// seq and lease first, in that order, so a receiver can tell what a
-// message is about without parsing its body.
-struct MessageHeader {
-  MsgType type = MsgType::kHeartbeat;
-  u64 lease = 0;
-};
-// The header of `text` when it starts exactly as to_json writes one;
-// nullopt otherwise.  Says nothing about the validity of the body: only
-// Message::from_json does.
-std::optional<MessageHeader> peek_header(std::string_view text);
 
 // Serialized CellResult (shared with checkpoint-style documents).
 void cell_to_json(const orchestrator::CampaignCell& cell,

@@ -3,17 +3,14 @@
 // acceptance criteria of the distributed campaign — a fault-free loopback
 // fleet is byte-identical to the in-process campaign under cell scopes, and
 // a killed worker's cell is re-queued without double-counting any probe,
-// and retransmitted CellDones neither flood the coordinator nor get parsed
-// once their lease is settled.
+// and retransmitted CellDones do not flood the coordinator.
 // The TSan CI job runs this binary to pin the protocol data-race-free.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -159,56 +156,6 @@ TEST(FleetMessages, EveryTypeRoundTripsByteIdentically) {
     const std::string doc = m.to_json();
     const Message back = Message::from_json(doc);
     EXPECT_EQ(back.to_json(), doc) << doc;
-  }
-}
-
-// peek_header reads a message's type and lease from its leading members
-// alone: a body it never looks at may be anything.  A header laid out in
-// any other way than to_json writes it is not recognised at all.
-TEST(FleetMessages, HeaderPeekReadsTypeAndLeaseWithoutTheBody) {
-  for (const Message& m : {sample_lease(), sample_done()}) {
-    const std::string doc = m.to_json();
-    const std::optional<MessageHeader> h = peek_header(doc);
-    ASSERT_TRUE(h.has_value()) << doc.substr(0, 80);
-    EXPECT_EQ(h->type, m.type);
-    EXPECT_EQ(h->lease, m.lease);
-    // Garble everything past the lease member: the header still reads.
-    const std::size_t body = doc.find(",", doc.find("\"lease\":"));
-    ASSERT_NE(body, std::string::npos);
-    const std::string garbled = doc.substr(0, body + 1) + "#garbage";
-    EXPECT_THROW(Message::from_json(garbled), JsonError);
-    ASSERT_TRUE(peek_header(garbled).has_value());
-    EXPECT_EQ(peek_header(garbled)->lease, m.lease);
-  }
-  {
-    Message ack;
-    ack.type = MsgType::kAck;
-    ack.sender = kCoordinatorId;
-    ack.seq = 12;
-    ack.lease = 99;
-    const std::optional<MessageHeader> h = peek_header(ack.to_json());
-    ASSERT_TRUE(h.has_value());
-    EXPECT_EQ(h->type, MsgType::kAck);
-    EXPECT_EQ(h->lease, 99u);
-  }
-  const std::string done = sample_done().to_json();
-  for (std::size_t n = 0; n < done.find(",\"result\""); ++n) {
-    EXPECT_FALSE(peek_header(done.substr(0, n)).has_value())
-        << "prefix " << done.substr(0, n);
-  }
-  for (const std::string bad : {
-           R"({"type":"cell_done","seq":1,"sender":0,"lease":7,)",
-           R"({"sender":0,"type":"cell_done","seq":1,"lease":7,)",
-           R"({ "type":"cell_done","sender":0,"seq":1,"lease":7,)",
-           R"({"type":"cell_done","sender":0,"seq":1,"lease": 7,)",
-           R"({"type":"cell_done","sender":0,"seq":1,"lease":-7,)",
-           R"({"type":"cell_done","sender":0,"seq":-1,"lease":7,)",
-           R"({"type":"cell_done","sender":0,"seq":1,"lease":7.5,)",
-           R"({"type":"cell_done","sender":0,"seq":1,"lease":"7",)",
-           R"({"type":"cell_dome","sender":0,"seq":1,"lease":7,)",
-           R"({"type":"cell_done","sender":0,"seq":1,"lease":99999999999999999999,)",
-       }) {
-    EXPECT_FALSE(peek_header(bad).has_value()) << bad;
   }
 }
 
@@ -592,61 +539,6 @@ TEST(Fleet, SlowCellDoneDeliveryDoesNotFloodTheCoordinator) {
   EXPECT_EQ(fleet.stats.bad_messages, 0);
   EXPECT_GT(fleet.delayed, fleet.stats.leases);  // retransmits happened
   EXPECT_LE(fleet.stats.duplicates, 6 * fleet.stats.leases);
-}
-
-// Forwards to a LoopbackTransport and follows every CellDone a worker sends
-// with a copy whose body (everything after the lease member) is garbage.
-class GarbledDuplicateTransport final : public Transport {
- public:
-  explicit GarbledDuplicateTransport(int workers) : inner_(workers) {}
-
-  bool send(int from, int to, std::string payload) override {
-    std::string copy;
-    if (from >= 0 && payload.starts_with("{\"type\":\"cell_done\"")) {
-      copy = payload.substr(0, payload.find(",\"result\":")) +
-             ",\"result\":{garbled";
-    }
-    const bool sent = inner_.send(from, to, std::move(payload));
-    if (!copy.empty()) inner_.send(from, to, std::move(copy));
-    return sent;
-  }
-  RecvStatus recv(int self, int* from, std::string* payload,
-                  std::chrono::milliseconds timeout) override {
-    return inner_.recv(self, from, payload, timeout);
-  }
-  void close(int endpoint) override { inner_.close(endpoint); }
-
- private:
-  LoopbackTransport inner_;
-};
-
-// A CellDone for a lease the coordinator already accepted is acked and
-// counted as a duplicate from its header alone: its body is never parsed,
-// so a garbled body there is not a bad message.
-TEST(Fleet, SettledCellDoneIsDroppedFromItsHeaderUnparsed) {
-  CampaignConfig config = small_config();
-  const CampaignResult reference = Campaign(config).run();
-
-  Coordinator coordinator(config, patient_options().coordinator);
-  GarbledDuplicateTransport transport(coordinator.workers());
-  std::vector<std::thread> threads;
-  for (int w = 0; w < coordinator.workers(); ++w) {
-    threads.emplace_back([w, &coordinator, &transport] {
-      FleetWorker(w, coordinator.config(), &transport).run();
-    });
-  }
-  const CampaignResult result = coordinator.run(&transport);
-  for (int w = 0; w < coordinator.workers(); ++w) transport.close(w);
-  transport.close(kCoordinatorId);
-  for (std::thread& t : threads) t.join();
-
-  EXPECT_EQ(orchestrator::build_report(result).to_json(),
-            orchestrator::build_report(reference).to_json());
-  EXPECT_EQ(coordinator.stats().leases, 4);
-  EXPECT_EQ(coordinator.stats().bad_messages, 0);
-  // Garbled copies that arrive after the last acceptance are never read,
-  // but the earlier ones are.
-  EXPECT_GE(coordinator.stats().duplicates, 1);
 }
 
 // ---- Acceptance: coordinator journal + resume, zero double-counting.
